@@ -2,7 +2,6 @@
 
 from .config import RunConfig
 from .forms import (
-    DecisionPolicy,
     FormSpace,
     SymForm,
     check_orthogonality_relations,
@@ -46,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CartanType",
-    "DecisionPolicy",
     "Decomposition",
     "FormSpace",
     "Graph",

@@ -11,10 +11,10 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
-from .config import RunConfig
+from .config import INT_FIELDS, RunConfig, flag_name
 from .graphs import GraphError, build_algebra, classify_graph, parse_graph
 from .hall import free_nilpotent
 from .jsonio import InputError, load_algebra, subspace_from_json, subspace_to_json
@@ -35,15 +35,8 @@ from .verdicts import build_report, decide, reverify_report
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, help="base seed for all randomized steps")
-    parser.add_argument("--mc-trials", type=int, dest="mc_trials")
-    parser.add_argument("--mc-range", type=int, dest="mc_range")
-    parser.add_argument("--solver-dim-cap", type=int, dest="solver_dim_cap")
-    parser.add_argument("--symbolic-max-dim", type=int, dest="symbolic_max_dim")
-    parser.add_argument(
-        "--symbolic-max-formspace", type=int, dest="symbolic_max_formspace_dim"
-    )
-    parser.add_argument("--theta-budget", type=int, dest="theta_budget")
+    for f in INT_FIELDS:
+        parser.add_argument(flag_name(f), type=int, dest=f.name, help=f.metadata.get("help"))
     parser.add_argument("--output", choices=("text", "json"))
     parser.add_argument("--timings", action="store_true", default=None)
 
@@ -51,20 +44,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig.from_environment()
     updates = {}
-    for field in (
-        "seed",
-        "mc_trials",
-        "mc_range",
-        "solver_dim_cap",
-        "symbolic_max_dim",
-        "symbolic_max_formspace_dim",
-        "theta_budget",
-        "output",
-        "timings",
-    ):
-        value = getattr(args, field, None)
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            updates[field] = value
+            updates[f.name] = value
     return replace(cfg, **updates) if updates else cfg
 
 

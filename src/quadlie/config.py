@@ -3,81 +3,70 @@
 Resolution order is defaults < QUADLIE_* environment variables < CLI flags;
 the effective configuration is echoed into every report so results can be
 reproduced byte for byte.
+
+`RunConfig` is the one list of configuration fields. Each integer field is
+also the environment variable `QUADLIE_<STEM>` and the CLI flag `--<stem>`,
+echoed under its field name; the stem is the field name unless the field's
+metadata gives one.
 """
 
-from __future__ import annotations
-
 import os
-from dataclasses import dataclass, replace
-
-from .forms import DecisionPolicy
-
-ENV_FIELDS = {
-    "QUADLIE_SEED": "seed",
-    "QUADLIE_MC_TRIALS": "mc_trials",
-    "QUADLIE_MC_RANGE": "mc_range",
-    "QUADLIE_SYMBOLIC_MAX_DIM": "symbolic_max_dim",
-    "QUADLIE_SYMBOLIC_MAX_FORMSPACE": "symbolic_max_formspace_dim",
-    "QUADLIE_SOLVER_DIM_CAP": "solver_dim_cap",
-    "QUADLIE_THETA_BUDGET": "theta_budget",
-}
+from dataclasses import Field, dataclass, field, fields, replace
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int = 12345
+    # metadata: "min" is the least allowed value (default 0, None for no
+    # bound), "stem" names the env var and flag, "help" is the flag's help
+    seed: int = field(
+        default=12345,
+        metadata={"min": None, "help": "base seed for all randomized steps"},
+    )
     mc_trials: int = 40
-    mc_range: int = 65536
+    mc_range: int = field(default=65536, metadata={"min": 1})
     symbolic_max_dim: int = 12
-    symbolic_max_formspace_dim: int = 8
+    symbolic_max_formspace_dim: int = field(
+        default=8, metadata={"stem": "symbolic_max_formspace"}
+    )
     solver_dim_cap: int = 64
     theta_budget: int = 512
     output: str = "text"
     timings: bool = False
 
     def __post_init__(self):
-        for name in (
-            "mc_trials",
-            "mc_range",
-            "symbolic_max_dim",
-            "symbolic_max_formspace_dim",
-            "solver_dim_cap",
-            "theta_budget",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        for f in INT_FIELDS:
+            least = f.metadata.get("min", 0)
+            if least is not None and getattr(self, f.name) < least:
+                bound = "nonnegative" if least == 0 else f"at least {least}"
+                raise ValueError(f"{f.name} must be {bound}")
         if self.output not in ("text", "json"):
             raise ValueError("output must be 'text' or 'json'")
 
-    def policy(self) -> DecisionPolicy:
-        return DecisionPolicy(
-            seed=self.seed,
-            mc_trials=self.mc_trials,
-            mc_range=self.mc_range,
-            symbolic_max_dim=self.symbolic_max_dim,
-            symbolic_max_formspace_dim=self.symbolic_max_formspace_dim,
-        )
-
     def echo(self) -> dict:
-        return {
-            "seed": self.seed,
-            "mc_trials": self.mc_trials,
-            "mc_range": self.mc_range,
-            "symbolic_max_dim": self.symbolic_max_dim,
-            "symbolic_max_formspace_dim": self.symbolic_max_formspace_dim,
-            "solver_dim_cap": self.solver_dim_cap,
-            "theta_budget": self.theta_budget,
-        }
+        return {f.name: getattr(self, f.name) for f in INT_FIELDS}
 
     @classmethod
     def from_environment(cls) -> "RunConfig":
         cfg = cls()
         updates = {}
-        for env, field in ENV_FIELDS.items():
+        for env, name in ENV_FIELDS.items():
             raw = os.environ.get(env)
             if raw is not None:
                 try:
-                    updates[field] = int(raw)
+                    updates[name] = int(raw)
                 except ValueError as exc:
                     raise ValueError(f"{env} must be an integer, got {raw!r}") from exc
         return replace(cfg, **updates) if updates else cfg
+
+
+def _stem(f: Field) -> str:
+    return f.metadata.get("stem", f.name)
+
+
+def flag_name(f: Field) -> str:
+    return "--" + _stem(f).replace("_", "-")
+
+
+INT_FIELDS = tuple(f for f in fields(RunConfig) if f.type is int)
+
+ENV_FIELDS = {"QUADLIE_" + _stem(f).upper(): f.name for f in INT_FIELDS}

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
+from .config import RunConfig
 from .liealg import LieAlgebra, bracket_space, relative_series
 from .linalg import (
     Matrix,
@@ -180,15 +181,6 @@ def verify_form(g: LieAlgebra, f: SymForm) -> FormCheck:
 
 
 @dataclass(frozen=True)
-class DecisionPolicy:
-    seed: int = 12345
-    mc_trials: int = 40
-    mc_range: int = 65536
-    symbolic_max_dim: int = 12
-    symbolic_max_formspace_dim: int = 8
-
-
-@dataclass(frozen=True)
 class NondegeneracyVerdict:
     """admits | refuted_symbolic | refuted_monte_carlo, with certificate data."""
 
@@ -223,7 +215,7 @@ def _det_polynomial(space: FormSpace) -> Poly:
     """det of the form pencil as a polynomial in the basis coefficients.
 
     Laplace expansion with memoization on column subsets: O(n * 2^n) poly ops,
-    used only inside the policy's symbolic limits.
+    used only inside the configured symbolic limits.
     """
     n = space.algebra_dim
     d = space.dim
@@ -278,16 +270,16 @@ def _poly_eval(poly: Poly, point) -> Fraction:
 
 
 def decide_nondegenerate(
-    space: FormSpace, policy: DecisionPolicy | None = None
+    space: FormSpace, config: RunConfig | None = None
 ) -> NondegeneracyVerdict:
     """Decide whether the pencil of invariant forms has a nondegenerate member.
 
     Ladder: deterministic random witness search (each hit is verified exactly),
-    then symbolic determinant expansion when within the policy limits (zero
+    then symbolic determinant expansion when within the configured limits (zero
     polynomial is a certified refutation), otherwise a Monte Carlo refutation
     with the Schwartz-Zippel failure bound (n / range)^trials.
     """
-    policy = policy or DecisionPolicy()
+    config = config or RunConfig()
     n = space.algebra_dim
     d = space.dim
     if n == 0:
@@ -297,19 +289,19 @@ def decide_nondegenerate(
             "refuted_symbolic", notes="no nonzero invariant symmetric form exists"
         )
 
-    for t in range(policy.mc_trials):
-        pt = trial_point(policy.seed, t, d, policy.mc_range)
+    for t in range(config.mc_trials):
+        pt = trial_point(config.seed, t, d, config.mc_range)
         candidate = space.combine(pt)
         if det(candidate.matrix) != 0:
             return NondegeneracyVerdict(
                 "admits",
                 normalize_witness(candidate),
                 trials=t + 1,
-                mc_range=policy.mc_range,
-                seed=policy.seed,
+                mc_range=config.mc_range,
+                seed=config.seed,
             )
 
-    if n <= policy.symbolic_max_dim and d <= policy.symbolic_max_formspace_dim:
+    if n <= config.symbolic_max_dim and d <= config.symbolic_max_formspace_dim:
         poly = _det_polynomial(space)
         if not poly:
             return NondegeneracyVerdict(
@@ -317,10 +309,10 @@ def decide_nondegenerate(
                 notes=f"det of the {d}-parameter pencil expands to the zero polynomial",
             )
         # nonzero polynomial: hunt a nonvanishing point on a growing grid
-        span = max(policy.mc_range, n + 1)
-        t = policy.mc_trials
+        span = max(config.mc_range, n + 1)
+        t = config.mc_trials
         while True:
-            pt = trial_point(policy.seed, t, d, span)
+            pt = trial_point(config.seed, t, d, span)
             if _poly_eval(poly, pt):
                 candidate = space.combine(pt)
                 assert det(candidate.matrix) != 0
@@ -329,19 +321,19 @@ def decide_nondegenerate(
                     normalize_witness(candidate),
                     trials=t + 1,
                     mc_range=span,
-                    seed=policy.seed,
+                    seed=config.seed,
                     notes="witness located via symbolic determinant",
                 )
             t += 1
             if t % 64 == 0:
                 span *= 2
 
-    bound = Fraction(n, policy.mc_range) ** policy.mc_trials
+    bound = Fraction(n, config.mc_range) ** config.mc_trials
     return NondegeneracyVerdict(
         "refuted_monte_carlo",
-        trials=policy.mc_trials,
-        mc_range=policy.mc_range,
-        seed=policy.seed,
+        trials=config.mc_trials,
+        mc_range=config.mc_range,
+        seed=config.seed,
         bound=bound,
     )
 

@@ -2,9 +2,10 @@
 
 All coefficients are `fractions.Fraction` (arbitrary precision, always in
 lowest terms). Subspaces are kept in reduced row echelon form so equality of
-subspaces is structural equality. Elimination funnels through the integer
-kernels in `quadlie.kernels` after clearing denominators row by row (row
-scaling does not change the row space, so the RREF is unchanged).
+subspaces is structural equality. Elimination funnels through the two
+integer kernels `rref_int` and `det_int` in `quadlie.kernels` after clearing
+denominators row by row (row scaling does not change the row space, so the
+RREF is unchanged).
 """
 
 from __future__ import annotations

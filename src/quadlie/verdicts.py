@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import kernels
 from .config import RunConfig
 from .forms import (
     NondegeneracyVerdict,
@@ -107,7 +106,7 @@ def decide(
     want_solver = solver == "always" or (solver == "auto" and obstruction is None)
     if want_solver and g.dim <= config.solver_dim_cap:
         space = invariant_form_space(g)
-        verdict = decide_nondegenerate(space, config.policy())
+        verdict = decide_nondegenerate(space, config)
         if verdict.admits:
             check = verify_form(g, verdict.witness)
             if not check.ok:
@@ -187,7 +186,6 @@ def build_report(
     report = {
         "input": descriptor,
         "config": config.echo(),
-        "backend": kernels.BACKEND,
         "algebra": {
             **algebra_to_json(result.algebra),
             "nilpotency_class": result.nilpotency_class,

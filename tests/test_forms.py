@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from quadlie.config import RunConfig
 from quadlie.forms import (
-    DecisionPolicy,
     FormSpace,
     SymForm,
     check_orthogonality_relations,
@@ -81,12 +81,12 @@ def test_decide_free_three_two_admits_with_verified_witness():
 
 
 def test_decide_monte_carlo_path_reports_schwartz_zippel_bound():
-    policy = DecisionPolicy(mc_trials=5, symbolic_max_dim=0)
-    verdict = decide_nondegenerate(invariant_form_space(heisenberg()), policy)
+    config = RunConfig(mc_trials=5, symbolic_max_dim=0)
+    verdict = decide_nondegenerate(invariant_form_space(heisenberg()), config)
     assert verdict.kind == "refuted_monte_carlo"
     assert verdict.trials == 5
     assert verdict.bound == Q(3, 65536) ** 5
-    assert verdict.seed == policy.seed
+    assert verdict.seed == config.seed
 
 
 def test_decide_empty_formspace_refuted():

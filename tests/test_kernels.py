@@ -1,18 +1,7 @@
 import random
 
-import pytest
-
-from quadlie import _kernels_py, kernels
+from quadlie import kernels
 from quadlie.linalg import Matrix, rref
-
-try:
-    from quadlie import _kernels as _kernels_c
-except ImportError:
-    _kernels_c = None
-
-needs_compiled = pytest.mark.skipif(
-    _kernels_c is None, reason="compiled kernels not built"
-)
 
 
 def random_matrix(rng, nrows, ncols, bound=50):
@@ -20,46 +9,23 @@ def random_matrix(rng, nrows, ncols, bound=50):
 
 
 def test_active_backend_exposed():
-    assert kernels.BACKEND in ("compiled", "pure")
+    assert kernels.BACKEND == "pure"
 
 
-@needs_compiled
-def test_backends_agree_on_rref():
-    rng = random.Random(42)
-    for _ in range(40):
-        nrows = rng.randint(0, 8)
-        ncols = rng.randint(1, 8)
-        m = random_matrix(rng, nrows, ncols, bound=9)
-        assert _kernels_c.rref_int(m, ncols) == _kernels_py.rref_int(m, ncols)
-
-
-@needs_compiled
-def test_backends_agree_on_det():
-    rng = random.Random(43)
-    for _ in range(40):
-        n = rng.randint(0, 8)
-        m = random_matrix(rng, n, n, bound=9)
-        assert _kernels_c.det_int(m) == _kernels_py.det_int(m)
-
-
-@needs_compiled
 def test_kernels_do_not_mutate_input():
     m = [[2, 4], [1, 2]]
     snapshot = [row[:] for row in m]
-    _kernels_c.rref_int(m, 2)
-    _kernels_py.rref_int(m, 2)
-    _kernels_c.det_int(m)
-    _kernels_py.det_int(m)
+    kernels.rref_int(m, 2)
+    kernels.det_int(m)
     assert m == snapshot
 
 
 def test_det_known_values():
-    for impl in filter(None, (_kernels_c, _kernels_py)):
-        assert impl.det_int([]) == 1
-        assert impl.det_int([[7]]) == 7
-        assert impl.det_int([[1, 2], [3, 4]]) == -2
-        assert impl.det_int([[0, 1], [1, 0]]) == -1
-        assert impl.det_int([[1, 2], [2, 4]]) == 0
+    assert kernels.det_int([]) == 1
+    assert kernels.det_int([[7]]) == 7
+    assert kernels.det_int([[1, 2], [3, 4]]) == -2
+    assert kernels.det_int([[0, 1], [1, 0]]) == -1
+    assert kernels.det_int([[1, 2], [2, 4]]) == 0
 
 
 def test_rref_canonical_form_properties():

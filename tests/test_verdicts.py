@@ -100,7 +100,7 @@ def test_reverify_symbolic():
     from quadlie.liealg import lower_central_series
 
     g = heisenberg()
-    verdict = decide_nondegenerate(invariant_form_space(g), cfg.policy())
+    verdict = decide_nondegenerate(invariant_form_space(g), cfg)
     rep = lower_central_series(g)
     result = AnalysisResult(
         g, rep.descending_dims, rep.ascending_dims, 2, None, verdict
