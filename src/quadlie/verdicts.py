@@ -204,12 +204,27 @@ def build_report(
     return report
 
 
+# the certificate kinds each verdict kind may carry
+CERTIFICATE_KINDS = {
+    "admits": ("admits",),
+    "refuted_obstruction": ("dim_series", "theta", "heisenberg_reiter"),
+    "refuted_symbolic": ("refuted_symbolic",),
+    "refuted_monte_carlo": ("refuted_monte_carlo",),
+    "undecided": ("undecided",),
+}
+
+
 def reverify_report(report: dict) -> tuple[bool, str]:
     """Recompute a report's certificate from its stored payload alone."""
     try:
         g = algebra_from_json(report["algebra"])
-        cert = report["verdict"]["certificate"]
+        verdict = report["verdict"]
+        cert = verdict["certificate"]
         kind = cert["kind"]
+        if kind not in CERTIFICATE_KINDS.get(verdict["kind"], ()):
+            return False, (
+                f"verdict {verdict['kind']!r} does not match certificate kind {kind!r}"
+            )
         return _reverify(g, cert, kind)
     except (KeyError, TypeError, ValueError) as exc:
         return False, f"malformed report payload: {exc}"
@@ -263,6 +278,10 @@ def _reverify(g: LieAlgebra, cert: dict, kind: str) -> tuple[bool, str]:
     if kind == "refuted_monte_carlo":
         space = invariant_form_space(g)
         seed, trials, span = cert["seed"], cert["trials"], cert["mc_range"]
+        if span < 1:
+            raise ValueError(f"mc_range must be at least 1, got {span}")
+        if trials < 1 or Fraction(g.dim, span) >= 1:
+            return False, "failure bound (dim/range)^trials is not below 1: nothing is refuted"
         for t in range(trials):
             pt = trial_point(seed, t, space.dim, span)
             if det(space.combine(pt).matrix) != 0:

@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from quadlie.cli import main
+from quadlie.config import RunConfig
 from quadlie.jsonio import algebra_to_json
 from quadlie.liealg import heisenberg
 
@@ -165,3 +167,82 @@ def test_text_output_mentions_verdict(capsys, h3_file):
     code, out = run(capsys, "analyze", h3_file)
     assert code == 0
     assert "verdict: refuted_obstruction" in out
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# every RunConfig integer field: (environment variable, CLI flag, echo key)
+CONFIG_NAMES = [
+    ("QUADLIE_SEED", "--seed", "seed"),
+    ("QUADLIE_MC_TRIALS", "--mc-trials", "mc_trials"),
+    ("QUADLIE_MC_RANGE", "--mc-range", "mc_range"),
+    ("QUADLIE_SYMBOLIC_MAX_DIM", "--symbolic-max-dim", "symbolic_max_dim"),
+    ("QUADLIE_SYMBOLIC_MAX_FORMSPACE", "--symbolic-max-formspace", "symbolic_max_formspace_dim"),
+    ("QUADLIE_SOLVER_DIM_CAP", "--solver-dim-cap", "solver_dim_cap"),
+    ("QUADLIE_THETA_BUDGET", "--theta-budget", "theta_budget"),
+]
+
+
+@pytest.mark.parametrize("env,flag,key", CONFIG_NAMES)
+def test_every_config_env_var_and_flag(capsys, monkeypatch, env, flag, key):
+    echo = RunConfig().echo()
+    assert sorted(echo) == sorted(k for _, _, k in CONFIG_NAMES)
+    base = echo[key]
+    monkeypatch.setenv(env, str(base + 3))
+    code, out = run(capsys, "free", "2", "2", "--output", "json")
+    assert code == 0
+    assert json.loads(out)["config"] == {**echo, key: base + 3}
+    code, out = run(capsys, "free", "2", "2", "--output", "json", flag, base + 5)
+    assert code == 0
+    assert json.loads(out)["config"] == {**echo, key: base + 5}
+
+
+def test_mc_range_below_one_is_a_usage_error(capsys, monkeypatch):
+    assert main(["free", "2", "2", "--mc-range", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: mc_range must be at least 1\n"
+    monkeypatch.setenv("QUADLIE_MC_RANGE", "0")
+    assert main(["free", "3", "2"]) == 2
+    assert capsys.readouterr().err == "error: mc_range must be at least 1\n"
+
+
+def verify_tampered(capsys, tmp_path, golden: str, tamper) -> tuple[int, str]:
+    report = json.loads((GOLDEN / golden).read_text())
+    tamper(report)
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(report))
+    return run(capsys, "verify", path)
+
+
+def test_verify_rejects_verdict_certificate_mismatch(capsys, tmp_path):
+    def claim_admits(report):
+        assert report["verdict"]["certificate"]["kind"] == "dim_series"
+        report["verdict"]["kind"] = "admits"
+
+    code, out = verify_tampered(capsys, tmp_path, "free_2_2.json", claim_admits)
+    assert code == 1
+    assert out.startswith("FAIL:")
+
+
+def test_verify_rejects_vacuous_monte_carlo_bound(capsys, tmp_path):
+    def no_trials(report):
+        cert = report["verdict"]["certificate"]
+        assert cert["kind"] == "refuted_monte_carlo"
+        cert["trials"] = 0
+        cert["bound"] = "1"
+
+    code, out = verify_tampered(capsys, tmp_path, "analyze_C4_theta_budget_0.json", no_trials)
+    assert code == 1
+    assert out.startswith("FAIL:")
+
+
+def test_verify_rejects_zero_mc_range_as_malformed(capsys, tmp_path):
+    def zero_range(report):
+        cert = report["verdict"]["certificate"]
+        cert["trials"] = 0
+        cert["mc_range"] = 0
+
+    code, out = verify_tampered(capsys, tmp_path, "analyze_C4_theta_budget_0.json", zero_range)
+    assert code == 1
+    assert out.startswith("FAIL: malformed report payload")
+    assert out.count("\n") == 1
