@@ -67,6 +67,8 @@ def flag_name(f: Field) -> str:
     return "--" + _stem(f).replace("_", "-")
 
 
+# `f.type is int` needs evaluated annotations: this module must not use
+# `from __future__ import annotations`
 INT_FIELDS = tuple(f for f in fields(RunConfig) if f.type is int)
 
 ENV_FIELDS = {"QUADLIE_" + _stem(f).upper(): f.name for f in INT_FIELDS}

@@ -276,12 +276,12 @@ def _reverify(g: LieAlgebra, cert: dict, kind: str) -> tuple[bool, str]:
         return True, "determinant polynomial re-expanded to zero"
 
     if kind == "refuted_monte_carlo":
-        space = invariant_form_space(g)
         seed, trials, span = cert["seed"], cert["trials"], cert["mc_range"]
         if span < 1:
             raise ValueError(f"mc_range must be at least 1, got {span}")
         if trials < 1 or Fraction(g.dim, span) >= 1:
             return False, "failure bound (dim/range)^trials is not below 1: nothing is refuted"
+        space = invariant_form_space(g)
         for t in range(trials):
             pt = trial_point(seed, t, space.dim, span)
             if det(space.combine(pt).matrix) != 0:
