@@ -22,7 +22,7 @@ class RunConfig:
         default=12345,
         metadata={"min": None, "help": "base seed for all randomized steps"},
     )
-    mc_trials: int = 40
+    mc_trials: int = field(default=40, metadata={"min": 1})
     mc_range: int = field(default=65536, metadata={"min": 1})
     symbolic_max_dim: int = 12
     symbolic_max_formspace_dim: int = field(

@@ -6,6 +6,12 @@ the n(n+1)/2 upper-triangle unknowns. Nondegeneracy of the pencil is decided
 by exact determinant evaluation at deterministic pseudo-random points, with a
 symbolic determinant expansion as the certified refutation path at small size
 and a Schwartz-Zippel bound reported otherwise.
+
+The trials run on integers: `FormSpace.singular_at` keeps the pencil as
+sparse integer entries (every basis form times one common denominator L) and
+hands each member straight to the Bareiss kernel. Since det(L F) = L^n det F,
+the zero test is exact. Only the accepted witness is built as a Fraction
+matrix, by `combine`.
 """
 
 from __future__ import annotations
@@ -13,8 +19,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
+from . import kernels
 from .config import RunConfig
 from .liealg import LieAlgebra, bracket_space, relative_series
 from .linalg import (
@@ -49,11 +57,12 @@ class SymForm:
 
     @classmethod
     def from_upper_vector(cls, n: int, vec) -> "SymForm":
-        entries = [[Fraction(0)] * n for _ in range(n)]
+        zero = Fraction(0)
+        entries = [[zero] * n for _ in range(n)]
         for (a, b), val in zip(sym_pairs(n), vec):
-            entries[a][b] = Fraction(val)
-            entries[b][a] = Fraction(val)
-        return cls(Matrix.from_rows(entries, n))
+            if val:
+                entries[a][b] = entries[b][a] = Fraction(val)
+        return cls(Matrix(tuple(map(tuple, entries)), n))
 
     @classmethod
     def identity(cls, n: int) -> "SymForm":
@@ -93,6 +102,38 @@ class FormSpace:
                     if frow[j]:
                         row[j] += c * frow[j]
         return SymForm(Matrix.from_rows(rows, n))
+
+    @cached_property
+    def _pencil(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Each basis form's upper triangle times the common denominator L,
+        as sparse (i, j, v) entries with i <= j."""
+        forms = [
+            [
+                (i, j, row[j])
+                for i, row in enumerate(f.matrix.rows)
+                for j in range(i, len(row))
+                if row[j]
+            ]
+            for f in self.basis
+        ]
+        den = lcm(1, *(x.denominator for entries in forms for _, _, x in entries))
+        return tuple(
+            tuple((i, j, x.numerator * (den // x.denominator)) for i, j, x in entries)
+            for entries in forms
+        )
+
+    def singular_at(self, point) -> bool:
+        """det(self.combine(point).matrix) == 0 for an integer point, on integers."""
+        n = self.algebra_dim
+        m = [[0] * n for _ in range(n)]
+        for c, entries in zip(point, self._pencil):
+            if c:
+                for i, j, v in entries:
+                    m[i][j] += c * v
+        for i in range(1, n):
+            for j in range(i):
+                m[i][j] = m[j][i]
+        return kernels.det_int(m) == 0
 
 
 def invariant_form_space(g: LieAlgebra) -> FormSpace:
@@ -182,7 +223,7 @@ def verify_form(g: LieAlgebra, f: SymForm) -> FormCheck:
 
 @dataclass(frozen=True)
 class NondegeneracyVerdict:
-    """admits | refuted_symbolic | refuted_monte_carlo, with certificate data."""
+    """admits | refuted_symbolic | refuted_monte_carlo | undecided, with certificate data."""
 
     kind: str
     witness: SymForm | None = None
@@ -277,7 +318,8 @@ def decide_nondegenerate(
     Ladder: deterministic random witness search (each hit is verified exactly),
     then symbolic determinant expansion when within the configured limits (zero
     polynomial is a certified refutation), otherwise a Monte Carlo refutation
-    with the Schwartz-Zippel failure bound (n / range)^trials.
+    with the Schwartz-Zippel failure bound (n / range)^trials; undecided when
+    n >= range, where that bound is not below 1.
     """
     config = config or RunConfig()
     n = space.algebra_dim
@@ -291,11 +333,10 @@ def decide_nondegenerate(
 
     for t in range(config.mc_trials):
         pt = trial_point(config.seed, t, d, config.mc_range)
-        candidate = space.combine(pt)
-        if det(candidate.matrix) != 0:
+        if not space.singular_at(pt):
             return NondegeneracyVerdict(
                 "admits",
-                normalize_witness(candidate),
+                normalize_witness(space.combine(pt)),
                 trials=t + 1,
                 mc_range=config.mc_range,
                 seed=config.seed,
@@ -328,6 +369,15 @@ def decide_nondegenerate(
             if t % 64 == 0:
                 span *= 2
 
+    if n >= config.mc_range:
+        return NondegeneracyVerdict(
+            "undecided",
+            notes=(
+                f"no witness in {config.mc_trials} trials, but with dim {n} >= "
+                f"mc_range {config.mc_range} the failure bound (dim/range)^trials "
+                "is not below 1, so the trials refute nothing"
+            ),
+        )
     bound = Fraction(n, config.mc_range) ** config.mc_trials
     return NondegeneracyVerdict(
         "refuted_monte_carlo",

@@ -5,14 +5,21 @@ antisymmetry is enforced by construction. The Jacobi identity is checked for
 every basis triple at construction time. Central-series machinery works for
 an arbitrary subspace V (the relative series C^j(V), C_j(V)); V = g gives the
 ordinary lower and upper central series.
+
+Spans and kernels of brackets are computed on integers: `scaled_bracket`
+multiplies every structure constant by their common denominator, which
+scales each bracket by the same positive number and so changes no span and
+no kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
-from .linalg import Matrix, SpanBuilder, Subspace, as_fraction_vector, nullspace
+from .linalg import Matrix, Subspace, _int_nullspace, _int_span, as_fraction_vector
 
 BracketTable = dict[tuple[int, int], dict[int, Fraction]]
 
@@ -74,15 +81,18 @@ class LieAlgebra:
             return dict(self.brackets.get((i, j), {}))
         return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
 
-    def bracket_basis_vec(self, i: int, vec) -> list[Fraction]:
-        """[e_i, v] for a coefficient vector v."""
-        out = [Fraction(0)] * self.dim
-        for j, c in enumerate(vec):
-            if not c:
-                continue
-            for k, s in self.bracket_basis(i, j).items():
-                out[k] += c * s
-        return out
+    @cached_property
+    def _int_ad(self) -> list[list[tuple[int, int, int]]]:
+        """Entry i lists (j, k, c): D [e_i, e_j] has coordinate c at e_k, where
+        D is the common denominator of the structure constants."""
+        den = lcm(1, *(c.denominator for t in self.brackets.values() for c in t.values()))
+        ad: list[list[tuple[int, int, int]]] = [[] for _ in range(self.dim)]
+        for (i, j), terms in self.brackets.items():
+            for k, c in terms.items():
+                v = int(c * den)
+                ad[i].append((j, k, v))
+                ad[j].append((i, k, -v))
+        return ad
 
     def bracket(self, x, y) -> tuple[Fraction, ...]:
         """Bilinear, antisymmetric extension of the structure constants."""
@@ -120,13 +130,14 @@ class LieAlgebra:
         return Subspace.full(self.dim)
 
     def commutator_subspace(self) -> Subspace:
-        sb = SpanBuilder(self.dim)
+        rows = []
         for terms in self.brackets.values():
-            vec = [Fraction(0)] * self.dim
+            den = lcm(*(c.denominator for c in terms.values()))
+            row = [0] * self.dim
             for k, c in terms.items():
-                vec[k] = c
-            sb.add(vec)
-        return sb.subspace()
+                row[k] = int(c * den)
+            rows.append(row)
+        return _int_span(self.dim, rows)
 
     def center(self) -> Subspace:
         return centralizer(self, self.full_space())
@@ -158,13 +169,32 @@ def validate(g: LieAlgebra) -> JacobiViolation | None:
     return None
 
 
+def scaled_bracket(g: LieAlgebra, x, y) -> list[int]:
+    """D [x, y] for integer vectors x, y; D > 0 is the common denominator of
+    the structure constants, so spans of these vectors are spans of brackets."""
+    out = [0] * g.dim
+    for i, a in enumerate(x):
+        if a:
+            for j, k, c in g._int_ad[i]:
+                b = y[j]
+                if b:
+                    out[k] += a * b * c
+    return out
+
+
 def bracket_space(g: LieAlgebra, v: Subspace) -> Subspace:
     """[g, V]: span of brackets of basis elements with a basis of V."""
-    sb = SpanBuilder(g.dim)
-    for i in range(g.dim):
-        for row in v.rows:
-            sb.add(g.bracket_basis_vec(i, row))
-    return sb.subspace()
+    rows = []
+    for w in v.int_rows():
+        for entries in g._int_ad:
+            row = [0] * g.dim
+            for j, k, c in entries:
+                b = w[j]
+                if b:
+                    row[k] += b * c
+            if any(row):
+                rows.append(row)
+    return _int_span(g.dim, rows)
 
 
 def centralizer(g: LieAlgebra, v: Subspace) -> Subspace:
@@ -174,50 +204,59 @@ def centralizer(g: LieAlgebra, v: Subspace) -> Subspace:
     if v.is_zero() or g.dim == 0:
         return g.full_space()
     rows = []
-    for w in v.rows:
-        # condition [X, w] = 0: row r of the matrix sends X to coord r of [X, w]
-        cols = [g.bracket_basis_vec(i, w) for i in range(g.dim)]
-        for r in range(g.dim):
-            rows.append(tuple(cols[i][r] for i in range(g.dim)))
-    return nullspace(Matrix(tuple(rows), g.dim))
+    for w in v.int_rows():
+        # condition [X, w] = 0: row r sends X to coordinate r of D [X, w]
+        block = [[0] * g.dim for _ in range(g.dim)]
+        for i, entries in enumerate(g._int_ad):
+            for j, k, c in entries:
+                b = w[j]
+                if b:
+                    block[k][i] += b * c
+        rows.extend(row for row in block if any(row))
+    return _int_nullspace(rows, g.dim)
 
 
-def _residual_matrix(v: Subspace) -> Matrix:
-    """R with ker R = V (single reduction pass against the RREF basis)."""
+def _residual_rows(v: Subspace) -> list[list[int]]:
+    """Integer rows whose common kernel is V, one per non-pivot coordinate a.
+
+    Row a is a multiple of e_a - sum_r v_r[a] e_(p_r): the coordinate a of a
+    vector's residual after reduction against the RREF basis v_r.
+    """
     n = v.ambient
-    rows = [[Fraction(1 if a == b else 0) for b in range(n)] for a in range(n)]
-    for row, p in zip(v.rows, v.pivots):
-        for a in range(n):
-            if row[a]:
-                rows[a][p] -= row[a]
-    return Matrix(tuple(tuple(r) for r in rows), n)
+    ints = v.int_rows()
+    pivot_set = set(v.pivots)
+    out = []
+    for a in range(n):
+        if a in pivot_set:
+            continue
+        hits = [(row[p], row[a], p) for row, p in zip(ints, v.pivots) if row[a]]
+        scale = lcm(1, *(lead for lead, _, _ in hits))
+        row = [0] * n
+        row[a] = scale
+        for lead, x, p in hits:
+            row[p] = -x * (scale // lead)
+        out.append(row)
+    return out
 
 
 def _ascending_step(g: LieAlgebra, prev: Subspace) -> Subspace:
     """{X : [X, g] contained in prev}."""
     if prev.dim == g.dim:
         return g.full_space()
-    resid = _residual_matrix(prev)
+    resid = _residual_rows(prev)
     rows = []
-    for i in range(g.dim):
-        # columns of ad restricted: [e_m, e_i] = -[e_i, e_m]
-        cols = [
-            {k: -c for k, c in g.bracket_basis(i, m).items()} for m in range(g.dim)
-        ]
-        for r in range(g.dim):
-            rrow = resid.rows[r]
-            row = []
-            for m in range(g.dim):
-                acc = Fraction(0)
-                for k, c in cols[m].items():
-                    if rrow[k]:
-                        acc += rrow[k] * c
-                row.append(acc)
+    for entries in g._int_ad:
+        # one row per e_i and residual row: up to sign, coordinate k of
+        # D [X, e_i] is the sum of c x_m over the entries (m, k, c) of e_i
+        for rrow in resid:
+            row = [0] * g.dim
+            for m, k, c in entries:
+                r = rrow[k]
+                if r:
+                    row[m] += r * c
             if any(row):
-                rows.append(tuple(row))
-    if not rows:
-        return g.full_space()
-    return nullspace(Matrix(tuple(rows), g.dim))
+                rows.append(row)
+    return _int_nullspace(rows, g.dim)
 
 
 @dataclass(frozen=True)

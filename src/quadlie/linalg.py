@@ -1,22 +1,31 @@
 """Exact rational linear algebra: matrices, canonical subspaces, lattice ops.
 
-All coefficients are `fractions.Fraction` (arbitrary precision, always in
-lowest terms). Subspaces are kept in reduced row echelon form so equality of
-subspaces is structural equality. Elimination funnels through the two
-integer kernels `rref_int` and `det_int` in `quadlie.kernels` after clearing
-denominators row by row (row scaling does not change the row space, so the
-RREF is unchanged).
+Matrices and subspace rows hold `fractions.Fraction` coefficients (arbitrary
+precision, always in lowest terms). Subspaces are kept in reduced row echelon
+form so equality of subspaces is structural equality.
+
+All elimination runs on integers, through the two kernels `rref_int` and
+`det_int` in `quadlie.kernels`. Rational input is cleared of denominators row
+by row (row scaling changes neither the row space nor the kernel). Every
+subspace - spans, sums, intersections, kernels - is built by `_int_span` or
+`_subspace` from the canonical integer rows `rref_int` returns; that is the
+one place where its Fraction rows are made, and the subspace keeps the
+integer rows, so the next elimination starts from them without converting
+back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
 from . import kernels
 
 Vec = tuple[Fraction, ...]
+IntRows = tuple[tuple[int, ...], ...]
+
+_ZERO = Fraction(0)
 
 
 def as_fraction_vector(vec, length: int | None = None) -> Vec:
@@ -31,7 +40,7 @@ def _int_rows(rows) -> list[list[int]]:
     out = []
     for row in rows:
         m = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * m) for x in row])
+        out.append([x.numerator * (m // x.denominator) for x in row])
     return out
 
 
@@ -94,13 +103,8 @@ class Matrix:
         return Matrix(rows, other.ncols)
 
     def is_symmetric(self) -> bool:
-        if self.nrows != self.ncols:
-            return False
-        return all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.nrows)
-            for j in range(i + 1, self.ncols)
-        )
+        # tuple equality skips entries that are the same object
+        return self.nrows == self.ncols and self.rows == tuple(zip(*self.rows))
 
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
@@ -130,36 +134,36 @@ def det(m: Matrix) -> Fraction:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of Q^ambient in canonical (RREF, no zero rows) basis form."""
+    """Subspace of Q^ambient in canonical (RREF, no zero rows) basis form.
+
+    `ints` caches the same rows as primitive integer vectors with positive
+    pivots (the form `rref_int` returns); it takes no part in equality.
+    """
 
     ambient: int
     rows: tuple[Vec, ...]
     pivots: tuple[int, ...]
+    ints: IntRows | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def spanned_by(cls, ambient: int, vectors) -> "Subspace":
         vecs = [as_fraction_vector(v, ambient) for v in vectors]
-        if not vecs:
-            return cls(ambient, (), ())
-        int_rows, pivots = kernels.rref_int(_int_rows(vecs), ambient)
-        rows = tuple(
-            tuple(Fraction(x, int_rows[r][c]) for x in int_rows[r])
-            for r, c in enumerate(pivots)
-        )
-        return cls(ambient, rows, tuple(pivots))
+        return _int_span(ambient, _int_rows(vecs))
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, (), ())
+        return cls(ambient, (), (), ())
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        eye = Matrix.identity(ambient)
-        return cls(ambient, eye.rows, tuple(range(ambient)))
+        eye = tuple(tuple(int(i == j) for j in range(ambient)) for i in range(ambient))
+        return _subspace(ambient, eye, range(ambient))
 
-    @classmethod
-    def from_rref_rows(cls, ambient: int, rows, pivots) -> "Subspace":
-        return cls(ambient, tuple(tuple(r) for r in rows), tuple(pivots))
+    def int_rows(self) -> IntRows:
+        """The basis rows as primitive integer vectors (each a positive multiple)."""
+        if self.ints is None:
+            object.__setattr__(self, "ints", tuple(map(tuple, _int_rows(self.rows))))
+        return self.ints
 
     @property
     def dim(self) -> int:
@@ -186,26 +190,47 @@ class Subspace:
         return not any(self.reduce_vector(vec))
 
 
+def _subspace(ambient: int, rows, pivots) -> Subspace:
+    """Subspace from canonical `rref_int` rows (primitive, positive pivot)."""
+    ints = tuple(tuple(r) for r in rows)
+    fracs = tuple(
+        tuple(Fraction(x, r[c]) if x else _ZERO for x in r)
+        for r, c in zip(ints, pivots)
+    )
+    return Subspace(ambient, fracs, tuple(pivots), ints)
+
+
+def _distinct_nonzero(rows) -> list[tuple[int, ...]]:
+    return list(dict.fromkeys(tuple(r) for r in rows if any(r)))
+
+
+def _int_span(ambient: int, rows) -> Subspace:
+    """Canonical span of integer vectors: one `rref_int` call on the nonzero ones."""
+    rows = _distinct_nonzero(rows)
+    if not rows:
+        return Subspace.zero(ambient)
+    reduced, pivots = kernels.rref_int(rows, ambient)
+    return _subspace(ambient, reduced[: len(pivots)], pivots)
+
+
 def span_sum(a: Subspace, b: Subspace) -> Subspace:
     _check_ambient(a, b)
-    return Subspace.spanned_by(a.ambient, list(a.rows) + list(b.rows))
+    return _int_span(a.ambient, a.int_rows() + b.int_rows())
 
 
 def span_intersect(a: Subspace, b: Subspace) -> Subspace:
     """Zassenhaus: row reduce [U|U; W|0]; zero-left rows carry U cap W."""
     _check_ambient(a, b)
     n = a.ambient
-    zero = (Fraction(0),) * n
-    stacked = [row + row for row in a.rows] + [row + zero for row in b.rows]
-    if not stacked:
+    if a.is_zero() or b.is_zero():
         return Subspace.zero(n)
-    reduced, rank = rref(Matrix.from_rows(stacked, 2 * n))
-    right = [
-        row[n:]
-        for row in reduced.rows[:rank]
-        if not any(row[:n])
-    ]
-    return Subspace.spanned_by(n, right)
+    zero = (0,) * n
+    stacked = [row + row for row in a.int_rows()] + [row + zero for row in b.int_rows()]
+    reduced, pivots = kernels.rref_int(stacked, 2 * n)
+    # the rows pivoting right of column n have a zero left half; their right
+    # halves are already the canonical rows of the intersection
+    right = [r for r, c in enumerate(pivots) if c >= n]
+    return _subspace(n, [reduced[r][n:] for r in right], [pivots[r] - n for r in right])
 
 
 def contains(a: Subspace, b: Subspace) -> bool:
@@ -221,67 +246,33 @@ def _check_ambient(a: Subspace, b: Subspace) -> None:
 
 def nullspace(m: Matrix) -> Subspace:
     """Kernel {x : m x = 0} as a canonical subspace."""
-    reduced, rank = rref(m)
-    pivots = []
-    for r in range(rank):
-        row = reduced.rows[r]
-        pivots.append(next(j for j in range(m.ncols) if row[j]))
+    return _int_nullspace(_int_rows(m.rows), m.ncols)
+
+
+def _int_nullspace(rows, ncols: int) -> Subspace:
+    """Kernel of an integer system: one `rref_int` call on the system, one on
+    its kernel vectors.
+
+    The free-column kernel vector of free column f has 1 at f and
+    -R[r][f] / R[r][p_r] at each pivot p_r; it is scaled to integers by the
+    lcm of the pivot values it divides by, then the kernel vectors are
+    reduced to their canonical span.
+    """
+    rows = _distinct_nonzero(rows)
+    reduced, pivots = kernels.rref_int(rows, ncols) if rows else ([], [])
     pivot_set = set(pivots)
     basis = []
-    for f in range(m.ncols):
+    for f in range(ncols):
         if f in pivot_set:
             continue
-        vec = [Fraction(0)] * m.ncols
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -reduced.rows[r][f]
+        hits = [(r, reduced[r][f]) for r in range(len(pivots)) if reduced[r][f]]
+        scale = lcm(1, *(reduced[r][pivots[r]] for r, _ in hits))
+        vec = [0] * ncols
+        vec[f] = scale
+        for r, x in hits:
+            vec[pivots[r]] = -x * (scale // reduced[r][pivots[r]])
         basis.append(vec)
-    return Subspace.spanned_by(m.ncols, basis)
-
-
-class SpanBuilder:
-    """Incremental span with early-exit rank queries (RREF maintained)."""
-
-    def __init__(self, ambient: int):
-        self.ambient = ambient
-        self._rows: list[list[Fraction]] = []
-        self._pivots: list[int] = []
-
-    @property
-    def dim(self) -> int:
-        return len(self._rows)
-
-    def add(self, vec) -> bool:
-        """Insert a vector; returns True when it enlarged the span."""
-        v = list(as_fraction_vector(vec, self.ambient))
-        for row, p in zip(self._rows, self._pivots):
-            c = v[p]
-            if c:
-                for j in range(self.ambient):
-                    if row[j]:
-                        v[j] -= c * row[j]
-        pivot = next((j for j in range(self.ambient) if v[j]), None)
-        if pivot is None:
-            return False
-        inv = v[pivot]
-        v = [x / inv for x in v]
-        for row in self._rows:
-            c = row[pivot]
-            if c:
-                for j in range(self.ambient):
-                    if v[j]:
-                        row[j] -= c * v[j]
-        idx = next(
-            (i for i, p in enumerate(self._pivots) if p > pivot), len(self._pivots)
-        )
-        self._rows.insert(idx, v)
-        self._pivots.insert(idx, pivot)
-        return True
-
-    def subspace(self) -> Subspace:
-        return Subspace.from_rref_rows(
-            self.ambient, [tuple(r) for r in self._rows], self._pivots
-        )
+    return _int_span(ncols, basis)
 
 
 def sparse_nullspace(rows: list[dict[int, int]], ncols: int) -> list[Vec]:

@@ -15,8 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .liealg import LieAlgebra, bracket_space, centralizer, nilpotency_class, relative_series
-from .linalg import SpanBuilder, Subspace, rref, span_intersect, span_sum
+from .liealg import (
+    LieAlgebra,
+    SeriesReport,
+    bracket_space,
+    centralizer,
+    nilpotency_class,
+    relative_series,
+    scaled_bracket,
+)
+from .linalg import Subspace, _int_span, rref, span_intersect, span_sum
 
 
 @dataclass(frozen=True)
@@ -45,11 +53,8 @@ def validate_decomposition(g: LieAlgebra, d: Decomposition) -> None:
 
 
 def subspace_bracket(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
-    sb = SpanBuilder(g.dim)
-    for u in a.rows:
-        for w in b.rows:
-            sb.add(g.bracket(u, w))
-    return sb.subspace()
+    rows = [scaled_bracket(g, u, w) for u in a.int_rows() for w in b.int_rows()]
+    return _int_span(g.dim, rows)
 
 
 @dataclass(frozen=True)
@@ -112,9 +117,14 @@ class HeisenbergReiterCertificate:
 ObstructionCertificate = DimSeriesCertificate | ThetaCertificate | HeisenbergReiterCertificate
 
 
-def dim_series_obstruction(g: LieAlgebra) -> DimSeriesCertificate | None:
-    """Fail with the smallest j violating dim C_j + dim C^j = dim g."""
-    rep = relative_series(g, g.full_space())
+def dim_series_obstruction(
+    g: LieAlgebra, series: SeriesReport | None = None
+) -> DimSeriesCertificate | None:
+    """Fail with the smallest j violating dim C_j + dim C^j = dim g.
+
+    `series` is g's own central series when the caller has it already.
+    """
+    rep = series if series is not None else relative_series(g, g.full_space())
     for j in range(1, max(len(rep.descending), len(rep.ascending)) + 1):
         desc = rep.descending_term(j)
         asc = rep.ascending_term(j)
@@ -200,6 +210,12 @@ def theta_search(
     comm = bracket_space(g, g.full_space())
     if comm.dim == g.dim:
         raise ValueError("theta search needs C^1(g) != g")
+    if span_intersect(g.center(), comm).is_zero():
+        # Theta lies in z cap C^1(g) for every decomposition; still reject
+        # invalid registered ones, as the search would
+        for d in extra_decompositions:
+            validate_decomposition(g, d)
+        return None
     for d in chain(extra_decompositions, default_decompositions(g, budget)):
         theta = theta_ideal(g, d)
         if not theta.is_zero():

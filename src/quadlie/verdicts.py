@@ -35,7 +35,6 @@ from .jsonio import (
     vector_to_json,
 )
 from .liealg import LieAlgebra, relative_series
-from .linalg import det
 from .obstructions import (
     Decomposition,
     DimSeriesCertificate,
@@ -92,7 +91,7 @@ def decide(
     rep = relative_series(g, g.full_space())
     klass = rep.nilpotency_class()
 
-    obstruction = dim_series_obstruction(g)
+    obstruction = dim_series_obstruction(g, rep)
     if obstruction is None and klass == 2:
         for v1, v2 in hr_pairs:
             cert = heisenberg_reiter_obstruction(g, v1, v2)
@@ -173,7 +172,10 @@ def certificate_payload(result: AnalysisResult) -> dict:
             "mc_range": v.mc_range,
             "bound": format_rational(v.bound),
         }
-    return {"kind": "undecided", "notes": "no obstruction found and the solver did not run"}
+    notes = "no obstruction found and the solver did not run"
+    if result.solver is not None:
+        notes = result.solver.notes
+    return {"kind": "undecided", "notes": notes}
 
 
 def build_report(
@@ -283,8 +285,7 @@ def _reverify(g: LieAlgebra, cert: dict, kind: str) -> tuple[bool, str]:
             return False, "failure bound (dim/range)^trials is not below 1: nothing is refuted"
         space = invariant_form_space(g)
         for t in range(trials):
-            pt = trial_point(seed, t, space.dim, span)
-            if det(space.combine(pt).matrix) != 0:
+            if not space.singular_at(trial_point(seed, t, space.dim, span)):
                 return False, f"replayed trial {t} found a nonzero determinant"
         expected = Fraction(g.dim, span) ** trials
         if format_rational(expected) != cert["bound"]:

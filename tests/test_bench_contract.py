@@ -1,13 +1,15 @@
 """What the benchmark harness in `perfbench/` needs from the library.
 
 The harness wraps library functions by module and name, records
-`kernels.BACKEND`, and builds `RunConfig`s. A rename that breaks it fails
-here instead of in the benchmark run. The harness modules are loaded by
-path; nothing under `perfbench/` is edited or put on `sys.path`.
+`kernels.BACKEND`, builds `RunConfig`s, and checks every outcome against
+`perfbench/data/expected.json`. A rename or a changed outcome that breaks it
+fails here instead of in the benchmark run. The harness modules are loaded
+by path; nothing under `perfbench/` is edited or put on `sys.path`.
 """
 
 import importlib
 import importlib.util
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -54,3 +56,16 @@ def test_run_config_accepts_the_harness_fields():
 def test_tiny_workloads_build(workload):
     built = workloads.build(workload, 7, tiny=True)
     assert built.cases
+
+
+@pytest.mark.parametrize("workload", ["graph-scan", "parabolic-scan", "certify"])
+def test_tiny_corpus_outcomes_match_the_recorded_ones(workload):
+    """Every tiny-corpus case decides as the benchmark expects it to."""
+    expected = json.loads((PERFBENCH / "data" / "expected.json").read_text())[workload]
+    built = workloads.build(workload, 7, tiny=True)
+    config = RunConfig(seed=7)
+    for case in built.cases:
+        out = built.run_case(case, config, tracing.NullTracer())
+        assert [out.kind, out.certificate, out.agree] == expected.get(out.case), out.case
+        assert out.agree is not False, out.case
+        assert out.verified is not False, out.case

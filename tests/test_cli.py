@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -204,6 +207,44 @@ def test_mc_range_below_one_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("QUADLIE_MC_RANGE", "0")
     assert main(["free", "3", "2"]) == 2
     assert capsys.readouterr().err == "error: mc_range must be at least 1\n"
+
+
+def test_mc_trials_below_one_is_a_usage_error(capsys, monkeypatch):
+    # no trial refutes nothing: zero trials would give a bound of 1
+    assert main(["free", "2", "2", "--mc-trials", "0"]) == 2
+    assert capsys.readouterr().err == "error: mc_trials must be at least 1\n"
+    monkeypatch.setenv("QUADLIE_MC_TRIALS", "0")
+    assert main(["free", "3", "2"]) == 2
+    assert capsys.readouterr().err == "error: mc_trials must be at least 1\n"
+
+
+def test_monte_carlo_range_not_above_dim_is_undecided(capsys, tmp_path):
+    # the C4 algebra has dim 8: with mc_range 8 the bound (8/8)^40 is 1
+    code, out = run(
+        capsys, "analyze", GOLDEN / "inputs" / "c4_algebra.json",
+        "--theta-budget", "0", "--mc-range", "8", "--output", "json",
+    )
+    assert code == 0
+    verdict = json.loads(out)["verdict"]
+    assert verdict["kind"] == "undecided"
+    assert verdict["certificate"]["kind"] == "undecided"
+    assert "is not below 1" in verdict["certificate"]["notes"]
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    code, out = run(capsys, "verify", path)
+    assert code == 0
+    assert out.startswith("OK")
+
+
+def test_python_dash_m_runs_the_command():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadlie", "free", "2", "2", "--output", "json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"]["kind"] == "refuted_obstruction"
 
 
 def verify_tampered(capsys, tmp_path, golden: str, tamper) -> tuple[int, str]:

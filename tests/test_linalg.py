@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from quadlie.linalg import (
     Matrix,
-    SpanBuilder,
     Subspace,
     contains,
     det,
@@ -180,14 +179,6 @@ def test_det_exact():
     assert det(mat([[Q(1, 2), 0], [0, Q(2, 3)]])) == Q(1, 3)
     with pytest.raises(ValueError):
         det(Matrix.zero(2, 3))
-
-
-def test_span_builder_matches_spanned_by():
-    vecs = [[1, 2, 3, 0], [2, 4, 6, 0], [0, 1, 0, 1], [1, 0, 0, 0]]
-    sb = SpanBuilder(4)
-    grew = [sb.add(v) for v in vecs]
-    assert grew == [True, False, True, True]
-    assert sb.subspace() == Subspace.spanned_by(4, vecs)
 
 
 def test_sparse_nullspace_matches_dense():
