@@ -55,6 +55,13 @@ CASES = {
     # theta
     "analyze_C4": ["analyze", INPUTS / "c4_algebra.json"],
     "graph_paw": ["graph", INPUTS / "paw.txt"],
+    # budget 1 tries only the whole complement (Theta = 0); 2 adds its lines
+    "analyze_C4_theta_budget_1": [
+        "analyze", INPUTS / "c4_algebra.json", "--theta-budget", "1",
+    ],
+    "analyze_C4_theta_budget_2": [
+        "analyze", INPUTS / "c4_algebra.json", "--theta-budget", "2",
+    ],
     # refuted_monte_carlo
     "analyze_C4_theta_budget_0": [
         "analyze", INPUTS / "c4_algebra.json", "--theta-budget", "0",
