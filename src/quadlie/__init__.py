@@ -24,10 +24,8 @@ from .liealg import (
 from .linalg import Matrix, Subspace, contains, nullspace, rref, span_intersect, span_sum
 from .obstructions import (
     Decomposition,
-    cap_condition_sample,
     dim_series_obstruction,
     heisenberg_reiter_obstruction,
-    nonsingular_probe,
     theta_ideal,
     theta_search,
 )
@@ -61,7 +59,6 @@ __all__ = [
     "build_nilradical",
     "build_report",
     "build_root_system",
-    "cap_condition_sample",
     "centralizer",
     "check_orthogonality_relations",
     "classify_graph",
@@ -76,7 +73,6 @@ __all__ = [
     "heisenberg_reiter_obstruction",
     "invariant_form_space",
     "lower_central_series",
-    "nonsingular_probe",
     "nullspace",
     "parse_graph",
     "radical",

@@ -29,7 +29,13 @@ class RunConfig:
         default=8, metadata={"stem": "symbolic_max_formspace"}
     )
     solver_dim_cap: int = 64
-    theta_budget: int = 512
+    theta_budget: int = field(
+        default=512,
+        metadata={
+            "help": "coordinate decompositions the theta search tries; only 0 (none),"
+            " 1 (the whole complement) and >= 2 (also its coordinate lines) differ"
+        },
+    )
     output: str = "text"
     timings: bool = False
 

@@ -174,15 +174,13 @@ def invariant_form_space(g: LieAlgebra) -> FormSpace:
 
 def _invariance_violation(g: LieAlgebra, f: SymForm):
     """First basis triple (i, j, l), i < j, violating invariance, with its value."""
+    rows = f.matrix.rows
     for i in range(g.dim):
+        ad_i = [tuple(g.bracket_basis(i, l).items()) for l in range(g.dim)]
         for j in range(i + 1, g.dim):
-            cij = g.bracket_basis(i, j)
+            cij, row_j = ad_i[j], rows[j]
             for l in range(g.dim):
-                val = Fraction(0)
-                for k, c in cij.items():
-                    val += c * f.matrix.rows[k][l]
-                for k, c in g.bracket_basis(i, l).items():
-                    val += c * f.matrix.rows[j][k]
+                val = sum(c * rows[k][l] for k, c in cij) + sum(c * row_j[k] for k, c in ad_i[l])
                 if val:
                     return (i, j, l), val
     return None
@@ -432,16 +430,22 @@ def check_orthogonality_relations(
 
 
 def signature(f: SymForm) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia of an exact symmetric matrix."""
+    """(positive, negative, zero) inertia of an exact symmetric matrix.
+
+    Symmetric elimination: step k brings a nonzero pivot to (k, k) by a
+    congruence, counts its sign, and replaces the block below and right of
+    it by its Schur complement. Only that block is read afterwards, so only
+    that block is updated.
+    """
     n = f.dim
     a = [[Fraction(x) for x in row] for row in f.matrix.rows]
-    pos = neg = zero = 0
+    pos = neg = 0
     for k in range(n):
         if a[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
             if swap is not None:
                 a[k], a[swap] = a[swap], a[k]
-                for row in a:
+                for row in a[k:]:
                     row[k], row[swap] = row[swap], row[k]
             else:
                 pair = next(
@@ -454,27 +458,26 @@ def signature(f: SymForm) -> tuple[int, int, int]:
                     None,
                 )
                 if pair is None:
-                    zero += n - k
-                    break
+                    return pos, neg, n - k
                 i, j = pair
-                for col in range(n):
+                for col in range(k, n):
                     a[i][col] += a[j][col]
-                for row in a:
+                for row in a[k:]:
                     row[i] += row[j]
                 if i != k:
                     a[k], a[i] = a[i], a[k]
-                    for row in a:
+                    for row in a[k:]:
                         row[k], row[i] = row[i], row[k]
         p = a[k][k]
         if p > 0:
             pos += 1
         else:
             neg += 1
-        for i in range(k + 1, n):
-            if a[i][k]:
-                fac = a[i][k] / p
-                for col in range(n):
-                    a[i][col] -= fac * a[k][col]
-                for row in a:
-                    row[i] -= fac * row[k]
-    return pos, neg, zero
+        top = a[k]
+        for row in a[k + 1:]:
+            if row[k]:
+                fac = row[k] / p
+                for col in range(k + 1, n):
+                    if top[col]:
+                        row[col] -= fac * top[col]
+    return pos, neg, 0

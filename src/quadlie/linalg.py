@@ -83,24 +83,9 @@ class Matrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
 
-    def transpose(self) -> "Matrix":
-        cols = tuple(
-            tuple(self.rows[i][j] for i in range(self.nrows)) for j in range(self.ncols)
-        )
-        return Matrix(cols, self.nrows)
-
     def mul_vec(self, vec) -> Vec:
         v = as_fraction_vector(vec, self.ncols)
         return tuple(sum(r[j] * v[j] for j in range(self.ncols)) for r in self.rows)
-
-    def mul(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        ot = other.transpose()
-        rows = tuple(
-            tuple(sum(a * b for a, b in zip(r, c)) for c in ot.rows) for r in self.rows
-        )
-        return Matrix(rows, other.ncols)
 
     def is_symmetric(self) -> bool:
         # tuple equality skips entries that are the same object
@@ -171,9 +156,6 @@ class Subspace:
 
     def is_zero(self) -> bool:
         return not self.rows
-
-    def basis_matrix(self) -> Matrix:
-        return Matrix(self.rows, self.ambient)
 
     def reduce_vector(self, vec) -> Vec:
         """Residual of vec after reduction against the RREF basis."""

@@ -1,16 +1,16 @@
 """Structural obstructions to ad-invariant metrics, with re-verifiable certificates.
 
-Four certified refutation mechanisms: the dimension identity of the central
+Three certified refutation mechanisms: the dimension identity of the central
 series pair, a nonzero Theta ideal for some decomposition g = V1 + ... + Vs +
-C^1(g), the two-isotropic-parts (Heisenberg-Reiter) configuration, and - as
-heuristic evidence only, never a certificate - the nonsingularity probe for
-2-step algebras. Every certificate re-verifies from its own payload,
-independent of the search path that produced it.
+C^1(g), and the two-isotropic-parts (Heisenberg-Reiter) configuration. The
+Theta search tries registered decompositions first, then the whole
+coordinate complement of C^1(g) and its coordinate lines. Every certificate
+re-verifies from its own payload, independent of the search path that
+produced it.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -24,7 +24,7 @@ from .liealg import (
     relative_series,
     scaled_bracket,
 )
-from .linalg import Subspace, _int_span, rref, span_intersect, span_sum
+from .linalg import Subspace, _int_span, span_intersect, span_sum
 
 
 @dataclass(frozen=True)
@@ -160,45 +160,24 @@ def _coordinate_decomposition(g: LieAlgebra, groups, commutator, description) ->
 
 
 def default_decompositions(g: LieAlgebra, budget: int = 512):
-    """Coordinate splittings of the complement of C^1(g), in a fixed order.
+    """The whole complement of C^1(g), then its coordinate lines, up to `budget`.
 
-    Order: the whole complement (s = 1), all singletons, then proper
-    bipartitions by binary code. Duplicates (small complements) are skipped.
+    The complement is the basis-aligned one of `coordinate_complement`. No
+    coarser grouping of its coordinates is tried, because none can hit first:
+    a part V_A spanned by coordinates A has z(V_A) = cap_{c in A} z(e_c), so
+    [z(V_A), g] lies in [z(e_c), g] for every c in A, and Theta of any
+    grouping lies inside Theta of the lines. So only budgets 0 (nothing),
+    1 (the whole complement) and >= 2 (also its lines) differ.
     """
     comm = bracket_space(g, g.full_space())
     _, coords = coordinate_complement(g)
-    m = len(coords)
-    if m == 0:
+    if not coords or budget < 1:
         return
-    seen = set()
-    emitted = 0
-
-    def emit(groups, description):
-        nonlocal emitted
-        key = tuple(tuple(grp) for grp in groups)
-        if key in seen or emitted >= budget:
-            return None
-        seen.add(key)
-        emitted += 1
-        return _coordinate_decomposition(g, groups, comm, description)
-
-    whole = emit([coords], "complement as a single part")
-    if whole:
-        yield whole
-    if m > 1:
-        singles = emit([[c] for c in coords], "complement split into coordinate lines")
-        if singles:
-            yield singles
-        for mask in range(1, (1 << m) - 1):
-            if not mask & 1:
-                continue  # element 0 stays in the first class: each unordered split once
-            a = [coords[i] for i in range(m) if mask & (1 << i)]
-            b = [coords[i] for i in range(m) if not mask & (1 << i)]
-            dec = emit(sorted([a, b]), f"coordinate bipartition {a}|{b}")
-            if dec:
-                yield dec
-            if emitted >= budget:
-                return
+    yield _coordinate_decomposition(g, [coords], comm, "complement as a single part")
+    if len(coords) > 1 and budget >= 2:
+        yield _coordinate_decomposition(
+            g, [[c] for c in coords], comm, "complement split into coordinate lines"
+        )
 
 
 def theta_search(
@@ -249,88 +228,3 @@ def heisenberg_reiter_obstruction(
     if span_sum(span_sum(v1, v2), comm).dim != g.dim:
         return HypothesesFail("V1 + V2 + C^1(g) does not span g")
     return HeisenbergReiterCertificate(v1, v2)
-
-
-@dataclass(frozen=True)
-class SingularWitness:
-    vector: tuple[Fraction, ...]
-    rank: int
-    center_dim: int
-
-    def verify(self, g: LieAlgebra) -> bool:
-        z = centralizer(g, g.full_space())
-        if z.contains_vector(self.vector):
-            return False
-        _, rank = rref(g.ad_matrix(self.vector))
-        return rank == self.rank and z.dim == self.center_dim and rank < z.dim
-
-
-@dataclass(frozen=True)
-class ProbablyNonsingular:
-    """Heuristic evidence only: ad_X was onto the center for every probe."""
-
-    tested: int
-
-
-def nonsingular_probe(
-    g: LieAlgebra, trials: int = 16, seed: int = 12345
-) -> SingularWitness | ProbablyNonsingular:
-    """Search for non-central X with ad_X not onto the center (2-step only)."""
-    if nilpotency_class(g) != 2:
-        raise ValueError("nonsingularity probe requires a 2-step nilpotent algebra")
-    z = centralizer(g, g.full_space())
-    candidates = []
-    for i in range(g.dim):
-        candidates.append(g.basis_vector(i))
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            candidates.append(
-                tuple(a + b for a, b in zip(g.basis_vector(i), g.basis_vector(j)))
-            )
-    rng = random.Random(f"{seed}:nonsingular")
-    for _ in range(trials):
-        candidates.append(tuple(Fraction(rng.randint(-9, 9)) for _ in range(g.dim)))
-    tested = 0
-    for x in candidates:
-        if z.contains_vector(x):
-            continue
-        tested += 1
-        _, rank = rref(g.ad_matrix(x))
-        if rank < z.dim:
-            return SingularWitness(tuple(Fraction(c) for c in x), rank, z.dim)
-    return ProbablyNonsingular(tested)
-
-
-@dataclass(frozen=True)
-class CapReport:
-    """Sampled intersection of [z(X), g]; zero certifies the cap condition."""
-
-    holds: bool
-    intersection: Subspace
-    samples: int
-
-
-def cap_condition_sample(
-    g: LieAlgebra, extra_samples: int = 8, seed: int = 12345
-) -> CapReport:
-    """Intersect [z(X), g] over basis vectors plus random samples.
-
-    The true intersection over all X is contained in any sampled one, so a
-    zero result certifies that the cap condition holds; a nonzero sampled
-    intersection is inconclusive and reported as-is.
-    """
-    acc = g.full_space()
-    samples = 0
-    rng = random.Random(f"{seed}:cap")
-    vectors = [g.basis_vector(i) for i in range(g.dim)]
-    for _ in range(extra_samples):
-        vectors.append(tuple(Fraction(rng.randint(-9, 9)) for _ in range(g.dim)))
-    for x in vectors:
-        if not any(x):
-            continue
-        samples += 1
-        zx = centralizer(g, Subspace.spanned_by(g.dim, [x]))
-        acc = span_intersect(acc, bracket_space(g, zx))
-        if acc.is_zero():
-            break
-    return CapReport(acc.is_zero(), acc, samples)

@@ -1,9 +1,10 @@
 """Decision ladder and machine-checkable verdict reports.
 
 Ladder: certified structural obstructions first (dimension identity, stored
-two-isotropic-part splits, theta search over registered and coordinate
-decompositions), then the form solver (witness search, symbolic determinant,
-Monte Carlo refutation). Every outcome carries a certificate payload that
+two-isotropic-part splits, theta search over the registered decompositions,
+then the whole coordinate complement of C^1(g) and its coordinate lines),
+then the form solver (witness search, symbolic determinant, Monte Carlo
+refutation). Every outcome carries a certificate payload that
 `reverify_report` can recheck offline from the report alone.
 """
 

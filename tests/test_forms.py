@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadlie.config import RunConfig
 from quadlie.forms import (
@@ -162,3 +164,45 @@ def test_signature():
         )
     )
     assert signature(mixed) == (2, 2, 0)
+
+
+def charpoly_inertia(rows):
+    """Inertia from det(xI - A) by Descartes' rule of signs.
+
+    A symmetric matrix has only real eigenvalues, so the sign changes of the
+    coefficients count the positive roots exactly, those of p(-x) the
+    negative ones. Coefficients by Faddeev-LeVerrier, c[i] of x^i.
+    """
+    n = len(rows)
+    a = [[Q(x) for x in row] for row in rows]
+    c = [Q(0)] * n + [Q(1)]
+    m = [[Q(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum(a[i][t] * m[t][j] for t in range(n)) + (c[n - k + 1] if i == j else 0)
+              for j in range(n)] for i in range(n)]
+        am = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        c[n - k] = -sum(am[i][i] for i in range(n)) / k
+
+    def changes(coeffs):
+        signs = [x > 0 for x in coeffs if x]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    zero = next(i for i, x in enumerate(c) if x)
+    return changes(c), changes([x * (-1) ** i for i, x in enumerate(c)]), zero
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(1, 6))
+    upper = draw(st.lists(st.integers(-2, 2), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    hollow = draw(st.booleans())  # zero diagonal: forces the off-diagonal pivot step
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), x in zip(((i, j) for i in range(n) for j in range(i, n)), upper):
+        rows[i][j] = rows[j][i] = 0 if hollow and i == j else x
+    return rows
+
+
+@settings(max_examples=40)
+@given(symmetric_matrices())
+def test_signature_matches_characteristic_polynomial(rows):
+    assert signature(SymForm(Matrix.from_rows(rows))) == charpoly_inertia(rows)

@@ -20,7 +20,6 @@ from quadlie.linalg import Subspace
 from quadlie.obstructions import (
     Decomposition,
     heisenberg_reiter_obstruction,
-    nonsingular_probe,
     theta_ideal,
 )
 
@@ -158,10 +157,3 @@ def test_c4_theta_via_bipartition_and_heisenberg_reiter():
     assert not theta.is_zero()
     cert = heisenberg_reiter_obstruction(g, v1, v2)
     assert cert.verify(g)
-
-
-def test_p3_singular_witness():
-    ga = build_algebra(path(3))
-    wit = nonsingular_probe(ga.algebra)
-    assert wit.rank == 1 and wit.center_dim == 2
-    assert wit.verify(ga.algebra)

@@ -7,17 +7,12 @@ from quadlie.hall import free_nilpotent
 from quadlie.liealg import LieAlgebra, abelian, heisenberg
 from quadlie.linalg import Subspace
 from quadlie.obstructions import (
-    CapReport,
     Decomposition,
     HypothesesFail,
-    ProbablyNonsingular,
-    SingularWitness,
-    cap_condition_sample,
     coordinate_complement,
     default_decompositions,
     dim_series_obstruction,
     heisenberg_reiter_obstruction,
-    nonsingular_probe,
     theta_ideal,
     theta_search,
     validate_decomposition,
@@ -121,27 +116,6 @@ def test_heisenberg_reiter_fails_on_free_three_two():
     out = heisenberg_reiter_obstruction(g, v1, v2)
     assert isinstance(out, HypothesesFail)
     assert "[V1,V1]" in out.reason
-
-
-def test_nonsingular_probe():
-    assert isinstance(nonsingular_probe(heisenberg()), ProbablyNonsingular)
-    wit = nonsingular_probe(free_nilpotent(3, 2))
-    assert isinstance(wit, SingularWitness)
-    assert wit.rank == 2 and wit.center_dim == 3
-    assert wit.verify(free_nilpotent(3, 2))
-    with pytest.raises(ValueError):
-        nonsingular_probe(abelian(3))
-    with pytest.raises(ValueError):
-        nonsingular_probe(free_nilpotent(2, 3))
-
-
-def test_cap_condition():
-    assert cap_condition_sample(abelian(3)).holds
-    assert cap_condition_sample(free_nilpotent(3, 2)).holds
-    rep = cap_condition_sample(heisenberg())
-    assert isinstance(rep, CapReport)
-    assert not rep.holds
-    assert rep.intersection == Subspace.spanned_by(3, [[0, 0, 1]])
 
 
 def test_soundness_certificate_implies_never_admits():
