@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .linalg import Matrix, Subspace, _int_nullspace, _int_span, as_fraction_vector
+from .linalg import Subspace, _int_nullspace, _int_span, as_fraction_vector
 
 BracketTable = dict[tuple[int, int], dict[int, Fraction]]
 
@@ -105,23 +105,6 @@ class LieAlgebra:
                 for k, s in terms.items():
                     out[k] += c * s
         return tuple(out)
-
-    def ad_matrix(self, x) -> Matrix:
-        """Matrix of ad_x: column m holds the coordinates of [x, e_m]."""
-        xv = as_fraction_vector(x, self.dim)
-        cols = []
-        for m in range(self.dim):
-            col = [Fraction(0)] * self.dim
-            for i, c in enumerate(xv):
-                if not c:
-                    continue
-                for k, s in self.bracket_basis(i, m).items():
-                    col[k] += c * s
-            cols.append(col)
-        rows = tuple(
-            tuple(cols[m][r] for m in range(self.dim)) for r in range(self.dim)
-        )
-        return Matrix(rows, self.dim)
 
     def basis_vector(self, i: int) -> tuple[Fraction, ...]:
         return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
