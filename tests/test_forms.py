@@ -176,10 +176,9 @@ def charpoly_inertia(rows):
     n = len(rows)
     a = [[Q(x) for x in row] for row in rows]
     c = [Q(0)] * n + [Q(1)]
-    m = [[Q(0)] * n for _ in range(n)]
+    am = [[Q(0)] * n for _ in range(n)]  # A M_(k-1), with M_0 = 0
     for k in range(1, n + 1):
-        m = [[sum(a[i][t] * m[t][j] for t in range(n)) + (c[n - k + 1] if i == j else 0)
-              for j in range(n)] for i in range(n)]
+        m = [[am[i][j] + (c[n - k + 1] if i == j else 0) for j in range(n)] for i in range(n)]
         am = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
         c[n - k] = -sum(am[i][i] for i in range(n)) / k
 
