@@ -173,16 +173,24 @@ def invariant_form_space(g: LieAlgebra) -> FormSpace:
 
 
 def _invariance_violation(g: LieAlgebra, f: SymForm):
-    """First basis triple (i, j, l), i < j, violating invariance, with its value."""
-    rows = f.matrix.rows
+    """First basis triple (i, j, l), i < j, violating invariance, with its value.
+
+    Runs on integers: the form times the common denominator L of its entries,
+    and the structure constants times theirs, D (`g._int_ad`), so each sum
+    is D L times <[e_i, e_j], e_l> + <e_j, [e_i, e_l]>.
+    """
+    scale = lcm(1, *(x.denominator for row in f.matrix.rows for x in row))
+    rows = [[x.numerator * (scale // x.denominator) for x in row] for row in f.matrix.rows]
     for i in range(g.dim):
-        ad_i = [tuple(g.bracket_basis(i, l).items()) for l in range(g.dim)]
+        ad_i = [[] for _ in range(g.dim)]
+        for j, k, c in g._int_ad[i]:
+            ad_i[j].append((k, c))
         for j in range(i + 1, g.dim):
             cij, row_j = ad_i[j], rows[j]
             for l in range(g.dim):
                 val = sum(c * rows[k][l] for k, c in cij) + sum(c * row_j[k] for k, c in ad_i[l])
                 if val:
-                    return (i, j, l), val
+                    return (i, j, l), Fraction(val, scale * g._den)
     return None
 
 
@@ -432,14 +440,20 @@ def check_orthogonality_relations(
 def signature(f: SymForm) -> tuple[int, int, int]:
     """(positive, negative, zero) inertia of an exact symmetric matrix.
 
-    Symmetric elimination: step k brings a nonzero pivot to (k, k) by a
-    congruence, counts its sign, and replaces the block below and right of
-    it by its Schur complement. Only that block is read afterwards, so only
-    that block is updated.
+    Symmetric elimination on integers (the matrix times the common
+    denominator of its entries): step k brings a nonzero pivot to (k, k) by a
+    congruence, then updates the block below and right of it fraction-free
+    (Bareiss), which leaves that block equal to its Schur complement times
+    the k-th leading minor of the transformed matrix. That minor is the last
+    pivot, so the sign of the true pivot is the sign of the pivot times the
+    sign of the one before it. Only the remaining block is read afterwards,
+    so only that block is updated.
     """
     n = f.dim
-    a = [[Fraction(x) for x in row] for row in f.matrix.rows]
+    scale = lcm(1, *(x.denominator for row in f.matrix.rows for x in row))
+    a = [[x.numerator * (scale // x.denominator) for x in row] for row in f.matrix.rows]
     pos = neg = 0
+    prev = 1
     for k in range(n):
         if a[k][k] == 0:
             swap = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
@@ -469,15 +483,14 @@ def signature(f: SymForm) -> tuple[int, int, int]:
                     for row in a[k:]:
                         row[k], row[i] = row[i], row[k]
         p = a[k][k]
-        if p > 0:
+        if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
         top = a[k]
         for row in a[k + 1:]:
-            if row[k]:
-                fac = row[k] / p
-                for col in range(k + 1, n):
-                    if top[col]:
-                        row[col] -= fac * top[col]
+            rk = row[k]
+            for col in range(k + 1, n):
+                row[col] = (p * row[col] - rk * top[col]) // prev
+        prev = p
     return pos, neg, 0

@@ -82,10 +82,14 @@ class LieAlgebra:
         return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
 
     @cached_property
+    def _den(self) -> int:
+        """D, the common denominator of the structure constants."""
+        return lcm(1, *(c.denominator for t in self.brackets.values() for c in t.values()))
+
+    @cached_property
     def _int_ad(self) -> list[list[tuple[int, int, int]]]:
-        """Entry i lists (j, k, c): D [e_i, e_j] has coordinate c at e_k, where
-        D is the common denominator of the structure constants."""
-        den = lcm(1, *(c.denominator for t in self.brackets.values() for c in t.values()))
+        """Entry i lists (j, k, c): D [e_i, e_j] has coordinate c at e_k."""
+        den = self._den
         ad: list[list[tuple[int, int, int]]] = [[] for _ in range(self.dim)]
         for (i, j), terms in self.brackets.items():
             for k, c in terms.items():
