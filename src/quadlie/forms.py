@@ -7,11 +7,12 @@ by exact determinant evaluation at deterministic pseudo-random points, with a
 symbolic determinant expansion as the certified refutation path at small size
 and a Schwartz-Zippel bound reported otherwise.
 
-The trials run on integers: `FormSpace.singular_at` keeps the pencil as
-sparse integer entries (every basis form times one common denominator L) and
-hands each member straight to the Bareiss kernel. Since det(L F) = L^n det F,
-the zero test is exact. Only the accepted witness is built as a Fraction
-matrix, by `combine`.
+The solver runs on integers: the system is built from the integer structure
+constants, and `FormSpace` keeps its basis as a sparse integer pencil (every
+basis form times one common positive integer L). Each trial member goes
+straight to the Bareiss kernel; since det(L F) = L^n det F, the zero test is
+exact. Fractions are made only at the boundary: the accepted witness, built
+by `combine`, and the `basis` accessor.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
 
 from . import kernels
 from .config import RunConfig
@@ -28,13 +27,14 @@ from .liealg import LieAlgebra, bracket_space, relative_series
 from .linalg import (
     Matrix,
     Subspace,
+    _scaled,
     contains,
     det,
     nullspace,
     sparse_nullspace,
 )
 
-Poly = dict[tuple[int, ...], Fraction]
+Poly = dict[tuple[int, ...], int]
 
 
 def sym_pairs(n: int) -> list[tuple[int, int]]:
@@ -56,15 +56,6 @@ class SymForm:
         return self.matrix.nrows
 
     @classmethod
-    def from_upper_vector(cls, n: int, vec) -> "SymForm":
-        zero = Fraction(0)
-        entries = [[zero] * n for _ in range(n)]
-        for (a, b), val in zip(sym_pairs(n), vec):
-            if val:
-                entries[a][b] = entries[b][a] = Fraction(val)
-        return cls(Matrix(tuple(map(tuple, entries)), n))
-
-    @classmethod
     def identity(cls, n: int) -> "SymForm":
         return cls(Matrix.identity(n))
 
@@ -79,65 +70,53 @@ class SymForm:
 
 @dataclass(frozen=True)
 class FormSpace:
-    """Basis of the space of invariant symmetric bilinear forms of an algebra."""
+    """Basis of the space of invariant symmetric bilinear forms of an algebra.
+
+    `pencil[b]` is basis form b times the common positive integer `scale`,
+    as sparse upper-triangle entries (i, j, v) with i <= j. One scale for
+    every form scales every member of the pencil by the same positive
+    number, so zero tests read the integers directly.
+    """
 
     algebra_dim: int
-    basis: tuple[SymForm, ...]
+    pencil: tuple[tuple[tuple[int, int, int], ...], ...]
+    scale: int = 1
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pencil)
 
-    def combine(self, coeffs) -> SymForm:
-        n = self.algebra_dim
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for c, form in zip(coeffs, self.basis):
-            c = Fraction(c)
-            if not c:
-                continue
-            for i in range(n):
-                frow = form.matrix.rows[i]
-                row = rows[i]
-                for j in range(n):
-                    if frow[j]:
-                        row[j] += c * frow[j]
-        return SymForm(Matrix.from_rows(rows, n))
+    @property
+    def basis(self) -> tuple[SymForm, ...]:
+        d = self.dim
+        return tuple(self.combine([int(b == c) for c in range(d)]) for b in range(d))
 
-    @cached_property
-    def _pencil(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-        """Each basis form's upper triangle times the common denominator L,
-        as sparse (i, j, v) entries with i <= j."""
-        forms = [
-            [
-                (i, j, row[j])
-                for i, row in enumerate(f.matrix.rows)
-                for j in range(i, len(row))
-                if row[j]
-            ]
-            for f in self.basis
-        ]
-        den = lcm(1, *(x.denominator for entries in forms for _, _, x in entries))
-        return tuple(
-            tuple((i, j, x.numerator * (den // x.denominator)) for i, j, x in entries)
-            for entries in forms
-        )
-
-    def singular_at(self, point) -> bool:
-        """det(self.combine(point).matrix) == 0 for an integer point, on integers."""
+    def _member(self, coeffs) -> list[list[int]]:
+        """scale times the member sum_b coeffs[b] basis[b], as a full matrix."""
         n = self.algebra_dim
         m = [[0] * n for _ in range(n)]
-        for c, entries in zip(point, self._pencil):
+        for c, entries in zip(coeffs, self.pencil):
             if c:
                 for i, j, v in entries:
                     m[i][j] += c * v
         for i in range(1, n):
             for j in range(i):
                 m[i][j] = m[j][i]
-        return kernels.det_int(m) == 0
+        return m
+
+    def combine(self, coeffs) -> SymForm:
+        s = self.scale
+        rows = tuple(tuple(Fraction(x, s) for x in row) for row in self._member(coeffs))
+        return SymForm(Matrix(rows, self.algebra_dim))
+
+    def singular_at(self, point) -> bool:
+        """det(self.combine(point).matrix) == 0 for an integer point, on integers."""
+        return kernels.det_int(self._member(point)) == 0
 
 
 def invariant_form_space(g: LieAlgebra) -> FormSpace:
-    """Solve <[ei,ej],el> + <ej,[ei,el]> = 0 for all i<j and all l, exactly."""
+    """Solve <[ei,ej],el> + <ej,[ei,el]> = 0 for all i<j and all l, exactly,
+    on the structure constants times D (`g._int_ad`): each row times D."""
     n = g.dim
     pairs = sym_pairs(n)
     index = {p: i for i, p in enumerate(pairs)}
@@ -145,31 +124,26 @@ def invariant_form_space(g: LieAlgebra) -> FormSpace:
     def sym(a: int, b: int) -> int:
         return index[(a, b) if a <= b else (b, a)]
 
-    partners = [set() for _ in range(n)]
-    for (i, j) in g.brackets:
-        partners[i].add(j)
-        partners[j].add(i)
-
     rows: list[dict[int, int]] = []
     for i in range(n):
+        ad_i = [[] for _ in range(n)]
+        for j, k, c in g._int_ad[i]:
+            ad_i[j].append((k, c))
+        partners = [l for l in range(n) if ad_i[l]]
         for j in range(i + 1, n):
-            cij = g.bracket_basis(i, j)
-            targets = range(n) if cij else sorted(partners[i])
-            for l in targets:
-                acc: dict[int, Fraction] = {}
-                for k, c in cij.items():
+            cij = ad_i[j]
+            for l in range(n) if cij else partners:
+                acc: dict[int, int] = {}
+                for k, c in cij:
                     col = sym(k, l)
-                    acc[col] = acc.get(col, Fraction(0)) + c
-                for k, c in g.bracket_basis(i, l).items():
+                    acc[col] = acc.get(col, 0) + c
+                for k, c in ad_i[l]:
                     col = sym(j, k)
-                    acc[col] = acc.get(col, Fraction(0)) + c
-                acc = {col: v for col, v in acc.items() if v}
-                if acc:
-                    mult = lcm(*(v.denominator for v in acc.values()))
-                    rows.append({col: int(v * mult) for col, v in acc.items()})
-    basis_vecs = sparse_nullspace(rows, len(pairs))
-    basis = tuple(SymForm.from_upper_vector(n, vec) for vec in basis_vecs)
-    return FormSpace(n, basis)
+                    acc[col] = acc.get(col, 0) + c
+                rows.append(acc)
+    vecs, scale = sparse_nullspace(rows, len(pairs))
+    pencil = tuple(tuple((a, b, v) for (a, b), v in zip(pairs, vec) if v) for vec in vecs)
+    return FormSpace(n, pencil, scale)
 
 
 def _invariance_violation(g: LieAlgebra, f: SymForm):
@@ -179,8 +153,7 @@ def _invariance_violation(g: LieAlgebra, f: SymForm):
     and the structure constants times theirs, D (`g._int_ad`), so each sum
     is D L times <[e_i, e_j], e_l> + <e_j, [e_i, e_l]>.
     """
-    scale = lcm(1, *(x.denominator for row in f.matrix.rows for x in row))
-    rows = [[x.numerator * (scale // x.denominator) for x in row] for row in f.matrix.rows]
+    scale, rows = _scaled(f.matrix.rows)
     for i in range(g.dim):
         ad_i = [[] for _ in range(g.dim)]
         for j, k, c in g._int_ad[i]:
@@ -259,7 +232,8 @@ def normalize_witness(f: SymForm) -> SymForm:
 
 
 def _det_polynomial(space: FormSpace) -> Poly:
-    """det of the form pencil as a polynomial in the basis coefficients.
+    """det of the integer pencil (the forms' pencil times scale^n) as a
+    polynomial with integer coefficients in the basis coefficients.
 
     Laplace expansion with memoization on column subsets: O(n * 2^n) poly ops,
     used only inside the configured symbolic limits.
@@ -272,19 +246,12 @@ def _det_polynomial(space: FormSpace) -> Poly:
         return tuple(1 if i == b else 0 for i in range(d))
 
     entry: list[list[Poly]] = [[{} for _ in range(n)] for _ in range(n)]
-    for b, form in enumerate(space.basis):
+    for b, entries in enumerate(space.pencil):
         e = unit_exp(b)
-        for i in range(n):
-            for j in range(n):
-                v = form.matrix.rows[i][j]
-                if v:
-                    entry[i][j].setdefault(e, Fraction(0))
-                    entry[i][j][e] += v
-    for i in range(n):
-        for j in range(n):
-            entry[i][j] = {e: c for e, c in entry[i][j].items() if c}
+        for i, j, v in entries:
+            entry[i][j][e] = entry[j][i][e] = v
 
-    dp: dict[int, Poly] = {0: {zero_exp: Fraction(1)}}
+    dp: dict[int, Poly] = {0: {zero_exp: 1}}
     for mask in range(1, 1 << n):
         k = bin(mask).count("1")  # expanding along row k-1
         acc: Poly = {}
@@ -299,19 +266,19 @@ def _det_polynomial(space: FormSpace) -> Poly:
                 for e1, c1 in ent.items():
                     for e2, c2 in sub.items():
                         e = tuple(a + b for a, b in zip(e1, e2))
-                        acc[e] = acc.get(e, Fraction(0)) + sign * c1 * c2
+                        acc[e] = acc.get(e, 0) + sign * c1 * c2
             pos += 1
         dp[mask] = {e: c for e, c in acc.items() if c}
     return dp[(1 << n) - 1]
 
 
-def _poly_eval(poly: Poly, point) -> Fraction:
-    total = Fraction(0)
+def _poly_eval(poly: Poly, point) -> int:
+    total = 0
     for exps, c in poly.items():
         term = c
         for e, x in zip(exps, point):
             if e:
-                term *= Fraction(x) ** e
+                term *= x ** e
         total += term
     return total
 
@@ -396,9 +363,9 @@ def decide_nondegenerate(
 
 def orthogonal_complement(f: SymForm, w: Subspace) -> Subspace:
     """{Y : f(X, Y) = 0 for all X in W} (f symmetric)."""
-    if not w.rows:
+    if w.is_zero():
         return Subspace.full(w.ambient)
-    rows = [f.matrix.mul_vec(b) for b in w.rows]
+    rows = [f.matrix.mul_vec(b) for b in w.ints]
     return nullspace(Matrix.from_rows(rows, w.ambient))
 
 
@@ -450,8 +417,7 @@ def signature(f: SymForm) -> tuple[int, int, int]:
     so only that block is updated.
     """
     n = f.dim
-    scale = lcm(1, *(x.denominator for row in f.matrix.rows for x in row))
-    a = [[x.numerator * (scale // x.denominator) for x in row] for row in f.matrix.rows]
+    _, a = _scaled(f.matrix.rows)
     pos = neg = 0
     prev = 1
     for k in range(n):

@@ -232,7 +232,7 @@ def centralizer_lemma_check(ga: GraphAlgebra, vertex) -> CentralizerLemmaReport:
     center = g.center()
     expected = Subspace.spanned_by(
         g.dim,
-        list(center.rows)
+        list(center.ints)
         + [ga.vertex_vector(w) for w in range(len(graph.vertices)) if w not in graph.adjacency[v]],
     )
     matches = zv == expected

@@ -172,7 +172,7 @@ def scaled_bracket(g: LieAlgebra, x, y) -> list[int]:
 def bracket_space(g: LieAlgebra, v: Subspace) -> Subspace:
     """[g, V]: span of brackets of basis elements with a basis of V."""
     rows = []
-    for w in v.int_rows():
+    for w in v.ints:
         for entries in g._int_ad:
             row = [0] * g.dim
             for j, k, c in entries:
@@ -191,7 +191,7 @@ def centralizer(g: LieAlgebra, v: Subspace) -> Subspace:
     if v.is_zero() or g.dim == 0:
         return g.full_space()
     rows = []
-    for w in v.int_rows():
+    for w in v.ints:
         # condition [X, w] = 0: row r sends X to coordinate r of D [X, w]
         block = [[0] * g.dim for _ in range(g.dim)]
         for i, entries in enumerate(g._int_ad):
@@ -210,13 +210,12 @@ def _residual_rows(v: Subspace) -> list[list[int]]:
     vector's residual after reduction against the RREF basis v_r.
     """
     n = v.ambient
-    ints = v.int_rows()
     pivot_set = set(v.pivots)
     out = []
     for a in range(n):
         if a in pivot_set:
             continue
-        hits = [(row[p], row[a], p) for row, p in zip(ints, v.pivots) if row[a]]
+        hits = [(row[p], row[a], p) for row, p in zip(v.ints, v.pivots) if row[a]]
         scale = lcm(1, *(lead for lead, _, _ in hits))
         row = [0] * n
         row[a] = scale

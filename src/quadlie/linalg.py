@@ -1,23 +1,22 @@
-"""Exact rational linear algebra: matrices, canonical subspaces, lattice ops.
+"""Exact linear algebra: integers in the core, Fractions at the boundary.
 
-Matrices and subspace rows hold `fractions.Fraction` coefficients (arbitrary
-precision, always in lowest terms). Subspaces are kept in reduced row echelon
-form so equality of subspaces is structural equality.
+A subspace is kept as its canonical integer rows: the reduced row echelon
+basis, each row scaled to the primitive integer vector with a positive pivot
+that `rref_int` returns. Those rows are unique, so equality of subspaces is
+equality of the rows, and the next elimination starts from them as they are.
+`Matrix` holds `fractions.Fraction` entries (Gram matrices, JSON), and
+`Subspace.rows` is a Fraction view of the basis made on demand.
 
 All elimination runs on integers, through the two kernels `rref_int` and
 `det_int` in `quadlie.kernels`. Rational input is cleared of denominators row
-by row (row scaling changes neither the row space nor the kernel). Every
-subspace - spans, sums, intersections, kernels - is built by `_int_span` or
-`_subspace` from the canonical integer rows `rref_int` returns; that is the
-one place where its Fraction rows are made, and the subspace keeps the
-integer rows, so the next elimination starts from them without converting
-back.
+by row (row scaling changes neither the row space nor the kernel).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from . import kernels
@@ -42,6 +41,12 @@ def _int_rows(rows) -> list[list[int]]:
         m = lcm(*(x.denominator for x in row)) if row else 1
         out.append([x.numerator * (m // x.denominator) for x in row])
     return out
+
+
+def _scaled(rows) -> tuple[int, list[list[int]]]:
+    """(L, L * rows) for the common denominator L of the entries."""
+    scale = lcm(1, *(x.denominator for row in rows for x in row))
+    return scale, [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
 
 
 @dataclass(frozen=True)
@@ -105,30 +110,26 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
 
 
 def det(m: Matrix) -> Fraction:
-    """Exact determinant of a square matrix."""
+    """Exact determinant of a square matrix: det(L m) = L^n det m."""
     if m.nrows != m.ncols:
         raise ValueError("determinant of non-square matrix")
-    scale = Fraction(1)
-    int_rows = []
-    for row in m.rows:
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        scale *= mult
-        int_rows.append([int(x * mult) for x in row])
-    return Fraction(kernels.det_int(int_rows), 1) / scale
+    scale, rows = _scaled(m.rows)
+    return Fraction(kernels.det_int(rows), scale ** m.nrows)
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of Q^ambient in canonical (RREF, no zero rows) basis form.
+    """Subspace of Q^ambient as its canonical integer basis.
 
-    `ints` caches the same rows as primitive integer vectors with positive
-    pivots (the form `rref_int` returns); it takes no part in equality.
+    `ints` are the nonzero RREF rows, each the primitive integer vector with
+    a positive pivot (the rows `rref_int` returns), and `pivots` their pivot
+    columns. Equality and hashing compare these rows; `rows` is the same
+    basis with each row divided by its pivot, in Fractions.
     """
 
     ambient: int
-    rows: tuple[Vec, ...]
+    ints: IntRows
     pivots: tuple[int, ...]
-    ints: IntRows | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def spanned_by(cls, ambient: int, vectors) -> "Subspace":
@@ -137,49 +138,39 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, (), (), ())
+        return cls(ambient, (), ())
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
         eye = tuple(tuple(int(i == j) for j in range(ambient)) for i in range(ambient))
-        return _subspace(ambient, eye, range(ambient))
+        return cls(ambient, eye, tuple(range(ambient)))
 
-    def int_rows(self) -> IntRows:
-        """The basis rows as primitive integer vectors (each a positive multiple)."""
-        if self.ints is None:
-            object.__setattr__(self, "ints", tuple(map(tuple, _int_rows(self.rows))))
-        return self.ints
+    @cached_property
+    def rows(self) -> tuple[Vec, ...]:
+        return tuple(
+            tuple(Fraction(x, r[c]) if x else _ZERO for x in r)
+            for r, c in zip(self.ints, self.pivots)
+        )
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.ints)
 
     def is_zero(self) -> bool:
-        return not self.rows
-
-    def reduce_vector(self, vec) -> Vec:
-        """Residual of vec after reduction against the RREF basis."""
-        v = list(as_fraction_vector(vec, self.ambient))
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                for j in range(self.ambient):
-                    if row[j]:
-                        v[j] -= c * row[j]
-        return tuple(v)
+        return not self.ints
 
     def contains_vector(self, vec) -> bool:
-        return not any(self.reduce_vector(vec))
+        return _in_span(self, _int_rows([as_fraction_vector(vec, self.ambient)])[0])
 
 
-def _subspace(ambient: int, rows, pivots) -> Subspace:
-    """Subspace from canonical `rref_int` rows (primitive, positive pivot)."""
-    ints = tuple(tuple(r) for r in rows)
-    fracs = tuple(
-        tuple(Fraction(x, r[c]) if x else _ZERO for x in r)
-        for r, c in zip(ints, pivots)
-    )
-    return Subspace(ambient, fracs, tuple(pivots), ints)
+def _in_span(s: Subspace, w) -> bool:
+    """Whether the integer vector w lies in s: its scaled residual is zero."""
+    for row, p in zip(s.ints, s.pivots):
+        c = w[p]
+        if c:
+            lead = row[p]
+            w = [lead * x - c * y for x, y in zip(w, row)]
+    return not any(w)
 
 
 def _distinct_nonzero(rows) -> list[tuple[int, ...]]:
@@ -192,12 +183,12 @@ def _int_span(ambient: int, rows) -> Subspace:
     if not rows:
         return Subspace.zero(ambient)
     reduced, pivots = kernels.rref_int(rows, ambient)
-    return _subspace(ambient, reduced[: len(pivots)], pivots)
+    return Subspace(ambient, tuple(map(tuple, reduced[: len(pivots)])), tuple(pivots))
 
 
 def span_sum(a: Subspace, b: Subspace) -> Subspace:
     _check_ambient(a, b)
-    return _int_span(a.ambient, a.int_rows() + b.int_rows())
+    return _int_span(a.ambient, a.ints + b.ints)
 
 
 def span_intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -207,18 +198,18 @@ def span_intersect(a: Subspace, b: Subspace) -> Subspace:
     if a.is_zero() or b.is_zero():
         return Subspace.zero(n)
     zero = (0,) * n
-    stacked = [row + row for row in a.int_rows()] + [row + zero for row in b.int_rows()]
+    stacked = [row + row for row in a.ints] + [row + zero for row in b.ints]
     reduced, pivots = kernels.rref_int(stacked, 2 * n)
     # the rows pivoting right of column n have a zero left half; their right
     # halves are already the canonical rows of the intersection
     right = [r for r, c in enumerate(pivots) if c >= n]
-    return _subspace(n, [reduced[r][n:] for r in right], [pivots[r] - n for r in right])
+    return Subspace(n, tuple(tuple(reduced[r][n:]) for r in right), tuple(pivots[r] - n for r in right))
 
 
 def contains(a: Subspace, b: Subspace) -> bool:
     """True iff b is a subspace of a."""
     _check_ambient(a, b)
-    return all(not any(a.reduce_vector(row)) for row in b.rows)
+    return all(_in_span(a, row) for row in b.ints)
 
 
 def _check_ambient(a: Subspace, b: Subspace) -> None:
@@ -257,13 +248,15 @@ def _int_nullspace(rows, ncols: int) -> Subspace:
     return _int_span(ncols, basis)
 
 
-def sparse_nullspace(rows: list[dict[int, int]], ncols: int) -> list[Vec]:
+def sparse_nullspace(rows: list[dict[int, int]], ncols: int) -> tuple[list[list[int]], int]:
     """Kernel basis of a sparse integer system (rows are {col: coeff} maps).
 
     Built for the invariance systems, which are huge but mostly one- and
     two-term equations. Maintains mutually reduced pivot rows (sparse
-    Gauss-Jordan with content reduction); the returned basis is the canonical
-    free-column nullspace basis, one vector per free column in column order.
+    Gauss-Jordan with content reduction). Returns (vectors, scale): the
+    canonical free-column nullspace basis, one vector per free column in
+    column order, each times `scale`, the common denominator of all their
+    entries, so that the vectors are integers.
     """
 
     def reduce_content(row: dict[int, int]) -> None:
@@ -327,14 +320,18 @@ def sparse_nullspace(rows: list[dict[int, int]], ncols: int) -> list[Vec]:
                 reduce_content(orow)
         pivot_rows[piv] = row
 
-    free_cols = [c for c in range(ncols) if c not in pivot_rows]
+    scale = 1
+    for p, prow in pivot_rows.items():
+        scale = lcm(scale, *(prow[p] // gcd(prow[p], v) for v in prow.values()))
     basis = []
-    for f in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
+    for f in range(ncols):
+        if f in pivot_rows:
+            continue
+        vec = [0] * ncols
+        vec[f] = scale
         for p, prow in pivot_rows.items():
             v = prow.get(f)
             if v:
-                vec[p] = Fraction(-v, prow[p])
-        basis.append(tuple(vec))
-    return basis
+                vec[p] = -v * scale // prow[p]
+        basis.append(vec)
+    return basis, scale

@@ -53,7 +53,7 @@ def validate_decomposition(g: LieAlgebra, d: Decomposition) -> None:
 
 
 def subspace_bracket(g: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
-    rows = [scaled_bracket(g, u, w) for u in a.int_rows() for w in b.int_rows()]
+    rows = [scaled_bracket(g, u, w) for u in a.ints for w in b.ints]
     return _int_span(g.dim, rows)
 
 
@@ -211,6 +211,8 @@ def heisenberg_reiter_obstruction(
     g: LieAlgebra, v1: Subspace, v2: Subspace
 ) -> HeisenbergReiterCertificate | HypothesesFail:
     """Certificate iff [Vi,Vi]=0, [V1,V2]=C^1(g) != 0 and V1+V2+C^1(g) = g."""
+    if v1.ambient != g.dim or v2.ambient != g.dim:
+        raise ValueError("subspace ambient dimension does not match the algebra")
     if nilpotency_class(g) != 2:
         return HypothesesFail("algebra is not 2-step nilpotent")
     comm = bracket_space(g, g.full_space())

@@ -245,9 +245,10 @@ def _reverify(g: LieAlgebra, cert: dict, kind: str) -> tuple[bool, str]:
         return True, "witness re-verified: invariant and nondegenerate"
 
     if kind == "dim_series":
-        ob = DimSeriesCertificate(
-            cert["j"], cert["dim_descending"], cert["dim_ascending"], cert["dim"]
-        )
+        j = cert["j"]
+        if type(j) is not int or j < 1:
+            raise ValueError(f"j must be a positive integer, got {j!r}")
+        ob = DimSeriesCertificate(j, cert["dim_descending"], cert["dim_ascending"], cert["dim"])
         ok = ob.verify(g)
         return ok, "dimension-series certificate recomputed" if ok else "dimension-series certificate failed"
 

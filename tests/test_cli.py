@@ -287,3 +287,39 @@ def test_verify_rejects_zero_mc_range_as_malformed(capsys, tmp_path):
     assert code == 1
     assert out.startswith("FAIL: malformed report payload")
     assert out.count("\n") == 1
+
+
+def set_j(value):
+    def tamper(report):
+        cert = report["verdict"]["certificate"]
+        assert cert["kind"] == "dim_series"
+        cert["j"] = value
+
+    return tamper
+
+
+def resize_part(name, ambient):
+    def tamper(report):
+        part = report["verdict"]["certificate"][name]
+        part["ambient_dim"] = ambient
+        part["vectors"] = [(v + ["0"] * ambient)[:ambient] for v in part["vectors"]]
+
+    return tamper
+
+
+@pytest.mark.parametrize(
+    "golden, tamper",
+    [
+        ("free_3_3.json", set_j(-5)),
+        ("free_3_3.json", set_j(0)),
+        ("free_3_3.json", set_j(True)),
+        ("graph_C4.json", resize_part("v1", 2)),
+        ("graph_C4.json", resize_part("v2", 3)),
+    ],
+    ids=["j=-5", "j=0", "j=true", "v1-ambient-2", "v2-ambient-3"],
+)
+def test_verify_rejects_forged_certificate_fields_as_malformed(capsys, tmp_path, golden, tamper):
+    code, out = verify_tampered(capsys, tmp_path, golden, tamper)
+    assert code == 1
+    assert out.startswith("FAIL: malformed report payload")
+    assert out.count("\n") == 1

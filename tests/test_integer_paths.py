@@ -8,6 +8,7 @@ computed subspaces.
 """
 
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from quadlie.config import RunConfig
 from quadlie.forms import (
     FormSpace,
+    _det_polynomial,
     SymForm,
     decide_nondegenerate,
     invariant_form_space,
@@ -65,11 +67,17 @@ def ref_rref(rows, ncols):
 
 
 def ref_span(ambient, vectors):
+    """The RREF rows, each scaled to its primitive integer multiple."""
     rows, pivots = ref_rref(vectors, ambient)
-    return Subspace(ambient, tuple(map(tuple, rows)), tuple(pivots))
+    ints = []
+    for row in rows:
+        m = math.lcm(*(x.denominator for x in row))
+        ints.append(tuple(int(x * m) for x in row))
+    return Subspace(ambient, tuple(ints), tuple(pivots))
 
 
-def ref_nullspace(rows, ncols):
+def ref_free_column_basis(rows, ncols):
+    """One kernel vector per free column f: 1 at f, -R[r][f] at pivot p_r."""
     reduced, pivots = ref_rref(rows, ncols)
     basis = []
     for f in range(ncols):
@@ -80,7 +88,11 @@ def ref_nullspace(rows, ncols):
         for r, p in enumerate(pivots):
             vec[p] = -reduced[r][f]
         basis.append(vec)
-    return ref_span(ncols, basis)
+    return basis
+
+
+def ref_nullspace(rows, ncols):
+    return ref_span(ncols, ref_free_column_basis(rows, ncols))
 
 
 def unit(n, i):
@@ -101,6 +113,16 @@ def ref_centralizer(g, v):
     return ref_nullspace(rows, g.dim)
 
 
+def ref_reduce(s, vec):
+    """Residual of vec after reduction against the Fraction RREF basis of s."""
+    v = list(vec)
+    for row, p in zip(s.rows, s.pivots):
+        c = v[p]
+        if c:
+            v = [a - c * b for a, b in zip(v, row)]
+    return v
+
+
 def ref_ascending_series(g, v):
     """C_0 = 0, C_1 = z(V), C_j = {X : [X, g] in C_(j-1)} until it repeats."""
     terms = [Subspace.zero(g.dim)]
@@ -113,7 +135,7 @@ def ref_ascending_series(g, v):
         # X is in the next term iff every [X, e_i] reduces to 0 against prev
         rows = []
         for i in range(g.dim):
-            cols = [prev.reduce_vector(g.bracket(unit(g.dim, m), unit(g.dim, i))) for m in range(g.dim)]
+            cols = [ref_reduce(prev, g.bracket(unit(g.dim, m), unit(g.dim, i))) for m in range(g.dim)]
             rows.extend([cols[m][r] for m in range(g.dim)] for r in range(g.dim))
         nxt = ref_nullspace(rows, g.dim)
         if nxt == prev:
@@ -285,9 +307,10 @@ def pencil_spaces():
     hand_built = FormSpace(
         2,
         (
-            SymForm(Matrix.from_rows([[Q(1, 2), Q(1, 3)], [Q(1, 3), Q(2, 9)]])),  # singular
-            SymForm(Matrix.from_rows([[Q(1, 2), 0], [0, Q(2, 3)]])),
+            ((0, 0, 9), (0, 1, 6), (1, 1, 4)),  # 18 [[1/2, 1/3], [1/3, 2/9]], singular
+            ((0, 0, 9), (1, 1, 12)),  # 18 diag(1/2, 2/3)
         ),
+        18,
     )
     algebras_ = {
         "h3": heisenberg(),
@@ -326,6 +349,81 @@ def test_hand_built_pencil_at_fixed_points():
     assert not space.singular_at((0, 1))
     assert not space.singular_at((1, 1))
     assert not space.singular_at((3, -2))
+
+
+def ref_invariant_basis(g):
+    """The Fraction solve: the invariance rows accumulated from the Fraction
+    structure constants, their free-column kernel basis by Fraction
+    Gauss-Jordan, and one form per kernel vector, in column order."""
+    n = g.dim
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    index = {p: i for i, p in enumerate(pairs)}
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for l in range(n):
+                row = [Q(0)] * len(pairs)
+                for k, c in g.bracket_basis(i, j).items():
+                    row[index[min(k, l), max(k, l)]] += c
+                for k, c in g.bracket_basis(i, l).items():
+                    row[index[min(j, k), max(j, k)]] += c
+                rows.append(row)
+    forms = []
+    for vec in ref_free_column_basis(rows, len(pairs)):
+        m = [[Q(0)] * n for _ in range(n)]
+        for (a, b), x in zip(pairs, vec):
+            m[a][b] = m[b][a] = x
+        forms.append(SymForm(Matrix.from_rows(m, n)))
+    return tuple(forms)
+
+
+def ref_det_polynomial(forms, n):
+    """det of sum_b x_b forms[b] over Fractions: Laplace expansion along the
+    rows, memoized on the set of columns still free."""
+    d = len(forms)
+    entry = [[{} for _ in range(n)] for _ in range(n)]
+    for b, f in enumerate(forms):
+        e = tuple(int(i == b) for i in range(d))
+        for i, row in enumerate(f.matrix.rows):
+            for j, x in enumerate(row):
+                if x:
+                    entry[i][j][e] = x
+    dp = {0: {(0,) * d: Q(1)}}
+    for mask in range(1, 1 << n):
+        k = bin(mask).count("1") - 1
+        acc = {}
+        for pos, j in enumerate(c for c in range(n) if mask >> c & 1):
+            sign, sub = (-1) ** (k + pos), dp[mask ^ (1 << j)]
+            for e1, c1 in entry[k][j].items():
+                for e2, c2 in sub.items():
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    acc[e] = acc.get(e, Q(0)) + sign * c1 * c2
+        dp[mask] = {e: c for e, c in acc.items() if c}
+    return dp[(1 << n) - 1]
+
+
+def check_form_solve(g):
+    space = invariant_form_space(g)
+    forms = ref_invariant_basis(g)
+    assert space.basis == forms
+    if g.dim <= 5 and space.dim <= RunConfig().symbolic_max_formspace_dim:
+        # the Fraction expansion is slow on the dim-6 changed-basis algebras
+        ref = ref_det_polynomial(forms, g.dim)
+        poly = _det_polynomial(space)
+        assert poly == {e: c * space.scale ** g.dim for e, c in ref.items()}
+        assert bool(poly) == bool(ref)
+
+
+@SETTINGS
+@given(algebras)
+def test_form_solve_matches_fraction_reference(g):
+    check_form_solve(g)
+
+
+def test_form_solve_with_basis_denominator_matches_fraction_reference():
+    g = build_nilradical("G2", (1,)).algebra
+    assert invariant_form_space(g).scale > 1
+    check_form_solve(g)
 
 
 def reference_witness(space, config):
