@@ -88,6 +88,7 @@ class FormSpace:
 
     @property
     def basis(self) -> tuple[SymForm, ...]:
+        """The basis forms in Fractions, built on each access."""
         d = self.dim
         return tuple(self.combine([int(b == c) for c in range(d)]) for b in range(d))
 
