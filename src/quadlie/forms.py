@@ -59,9 +59,6 @@ class SymForm:
     def identity(cls, n: int) -> "SymForm":
         return cls(Matrix.identity(n))
 
-    def value(self, x, y) -> Fraction:
-        return sum(a * b for a, b in zip(self.matrix.mul_vec(x), y))
-
     def scaled(self, q) -> "SymForm":
         q = Fraction(q)
         rows = tuple(tuple(q * x for x in row) for row in self.matrix.rows)

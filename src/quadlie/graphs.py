@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .liealg import LieAlgebra, bracket_space, centralizer
-from .linalg import Subspace
+from .linalg import Subspace, span_sum
 
 
 class GraphError(ValueError):
@@ -171,8 +171,12 @@ class GraphAlgebra:
     vertex_basis: tuple[int, ...]
     edge_basis: dict[tuple[int, int], int]
 
+    def vertex_space(self, vertices) -> Subspace:
+        """Span of the basis vectors of the given vertex indices."""
+        return Subspace.coordinate(self.algebra.dim, [self.vertex_basis[v] for v in vertices])
+
     def vertex_vector(self, v: int):
-        return self.algebra.basis_vector(self.vertex_basis[v])
+        return self.vertex_space([v]).rows[0]
 
 
 def build_algebra(graph: Graph) -> GraphAlgebra:
@@ -191,15 +195,9 @@ def build_algebra(graph: Graph) -> GraphAlgebra:
     algebra = LieAlgebra(dim, brackets, labels)
     ga = GraphAlgebra(graph, algebra, tuple(range(nv)), edge_basis)
 
-    center_expected = Subspace.spanned_by(
-        dim,
-        [algebra.basis_vector(v) for v in graph.isolated]
-        + [algebra.basis_vector(k) for k in range(nv, dim)],
-    )
+    center_expected = Subspace.coordinate(dim, [*graph.isolated, *range(nv, dim)])
     assert algebra.center() == center_expected, "center of n_G must be V0 + edges"
-    comm_expected = Subspace.spanned_by(
-        dim, [algebra.basis_vector(k) for k in range(nv, dim)]
-    )
+    comm_expected = Subspace.coordinate(dim, range(nv, dim))
     assert algebra.commutator_subspace() == comm_expected, "C^1(n_G) must be the edge span"
     return ga
 
@@ -228,19 +226,13 @@ def centralizer_lemma_check(ga: GraphAlgebra, vertex) -> CentralizerLemmaReport:
         v = graph.vertices.index(vertex)
     else:
         v = int(vertex)
-    zv = centralizer(g, Subspace.spanned_by(g.dim, [ga.vertex_vector(v)]))
-    center = g.center()
-    expected = Subspace.spanned_by(
-        g.dim,
-        list(center.ints)
-        + [ga.vertex_vector(w) for w in range(len(graph.vertices)) if w not in graph.adjacency[v]],
-    )
-    matches = zv == expected
+    zv = centralizer(g, ga.vertex_space([v]))
+    outside = [w for w in range(len(graph.vertices)) if w not in graph.adjacency[v]]
+    matches = zv == span_sum(g.center(), ga.vertex_space(outside))
     in_cycle = graph.in_3cycle(v)
     covering = None
     bracket_identity = None
     if not in_cycle:
-        outside = [w for w in range(len(graph.vertices)) if w not in graph.adjacency[v]]
         covering = all(i in outside or j in outside for (i, j) in graph.edges)
         bracket_identity = bracket_space(g, zv) == g.commutator_subspace()
     return CentralizerLemmaReport(graph.vertices[v], matches, in_cycle, covering, bracket_identity)

@@ -6,6 +6,10 @@ every basis triple at construction time. Central-series machinery works for
 an arbitrary subspace V (the relative series C^j(V), C_j(V)); V = g gives the
 ordinary lower and upper central series.
 
+An algebra is immutable after construction, so its invariants are computed
+once and cached on it: C^1(g) (`commutator_subspace`), its central series
+(`lower_central_series`) and z(g) = C_1(g) (`center`, read off that series).
+
 Spans and kernels of brackets are computed on integers: `scaled_bracket`
 multiplies every structure constant by their common denominator, which
 scales each bracket by the same positive number and so changes no span and
@@ -42,7 +46,11 @@ class JacobiError(ValueError):
 
 
 class LieAlgebra:
-    """Finite-dimensional Lie algebra over Q given by structure constants."""
+    """Finite-dimensional Lie algebra over Q given by structure constants.
+
+    Nothing changes an algebra after __init__, so its cached properties
+    never go stale.
+    """
 
     def __init__(self, dim: int, brackets=None, labels=None, check: bool = True):
         if dim < 0:
@@ -116,7 +124,8 @@ class LieAlgebra:
     def full_space(self) -> Subspace:
         return Subspace.full(self.dim)
 
-    def commutator_subspace(self) -> Subspace:
+    @cached_property
+    def _commutator(self) -> Subspace:
         rows = []
         for terms in self.brackets.values():
             den = lcm(*(c.denominator for c in terms.values()))
@@ -126,8 +135,17 @@ class LieAlgebra:
             rows.append(row)
         return _int_span(self.dim, rows)
 
+    @cached_property
+    def _series(self) -> SeriesReport:
+        return relative_series(self, self.full_space())
+
+    def commutator_subspace(self) -> Subspace:
+        """C^1(g) = [g, g], the span of the structure-constant rows."""
+        return self._commutator
+
     def center(self) -> Subspace:
-        return centralizer(self, self.full_space())
+        """z(g) = C_1(g), the first ascending term of the central series."""
+        return self._series.ascending_term(1)
 
     def __repr__(self) -> str:
         return f"LieAlgebra(dim={self.dim}, brackets={len(self.brackets)} pairs)"
@@ -326,7 +344,8 @@ def relative_series(g: LieAlgebra, v: Subspace, max_steps: int | None = None) ->
 
 
 def lower_central_series(g: LieAlgebra) -> SeriesReport:
-    return relative_series(g, g.full_space())
+    """Both central series of g, computed once per algebra."""
+    return g._series
 
 
 def nilpotency_class(g: LieAlgebra) -> int | None:

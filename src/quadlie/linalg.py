@@ -4,6 +4,8 @@ A subspace is kept as its canonical integer rows: the reduced row echelon
 basis, each row scaled to the primitive integer vector with a positive pivot
 that `rref_int` returns. Those rows are unique, so equality of subspaces is
 equality of the rows, and the next elimination starts from them as they are.
+A coordinate subspace (span of some basis vectors) is built straight from
+its indices: its canonical rows are the sorted unit rows.
 `Matrix` holds `fractions.Fraction` entries (Gram matrices, JSON), and
 `Subspace.rows` is a Fraction view of the basis made on demand.
 
@@ -85,9 +87,6 @@ class Matrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
-
     def mul_vec(self, vec) -> Vec:
         v = as_fraction_vector(vec, self.ncols)
         return tuple(sum(r[j] * v[j] for j in range(self.ncols)) for r in self.rows)
@@ -141,9 +140,18 @@ class Subspace:
         return cls(ambient, (), ())
 
     @classmethod
+    def coordinate(cls, ambient: int, indices) -> "Subspace":
+        """Span of the basis vectors e_i, i in indices (any order, repeats
+        allowed): the unit rows in increasing index order are already canonical."""
+        pivots = tuple(sorted(set(indices)))
+        if pivots and not 0 <= pivots[0] <= pivots[-1] < ambient:
+            raise ValueError(f"coordinate index out of range for ambient dimension {ambient}")
+        rows = tuple(tuple(int(j == i) for j in range(ambient)) for i in pivots)
+        return cls(ambient, rows, pivots)
+
+    @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        eye = tuple(tuple(int(i == j) for j in range(ambient)) for i in range(ambient))
-        return cls(ambient, eye, tuple(range(ambient)))
+        return cls.coordinate(ambient, range(ambient))
 
     @cached_property
     def rows(self) -> tuple[Vec, ...]:

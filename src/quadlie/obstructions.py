@@ -17,11 +17,10 @@ from itertools import chain
 
 from .liealg import (
     LieAlgebra,
-    SeriesReport,
     bracket_space,
     centralizer,
+    lower_central_series,
     nilpotency_class,
-    relative_series,
     scaled_bracket,
 )
 from .linalg import Subspace, _int_span, span_intersect, span_sum
@@ -41,7 +40,7 @@ def validate_decomposition(g: LieAlgebra, d: Decomposition) -> None:
         raise ValueError("decomposition needs at least one part")
     if any(p.is_zero() for p in d.parts):
         raise ValueError("decomposition parts must be nonzero")
-    if d.commutator != bracket_space(g, g.full_space()):
+    if d.commutator != g.commutator_subspace():
         raise ValueError("decomposition commutator is not C^1(g)")
     total = d.commutator
     dims = d.commutator.dim
@@ -69,7 +68,7 @@ class DimSeriesCertificate:
     kind = "dim_series"
 
     def verify(self, g: LieAlgebra) -> bool:
-        rep = relative_series(g, g.full_space())
+        rep = lower_central_series(g)
         desc = rep.descending_term(self.j)
         asc = rep.ascending_term(self.j)
         return (
@@ -117,14 +116,9 @@ class HeisenbergReiterCertificate:
 ObstructionCertificate = DimSeriesCertificate | ThetaCertificate | HeisenbergReiterCertificate
 
 
-def dim_series_obstruction(
-    g: LieAlgebra, series: SeriesReport | None = None
-) -> DimSeriesCertificate | None:
-    """Fail with the smallest j violating dim C_j + dim C^j = dim g.
-
-    `series` is g's own central series when the caller has it already.
-    """
-    rep = series if series is not None else relative_series(g, g.full_space())
+def dim_series_obstruction(g: LieAlgebra) -> DimSeriesCertificate | None:
+    """Fail with the smallest j violating dim C_j + dim C^j = dim g."""
+    rep = lower_central_series(g)
     for j in range(1, max(len(rep.descending), len(rep.ascending)) + 1):
         desc = rep.descending_term(j)
         asc = rep.ascending_term(j)
@@ -136,7 +130,7 @@ def dim_series_obstruction(
 def theta_ideal(g: LieAlgebra, d: Decomposition) -> Subspace:
     """Theta = z cap intersection over parts of [z(Vi), g]."""
     validate_decomposition(g, d)
-    acc = centralizer(g, g.full_space())
+    acc = g.center()
     for part in d.parts:
         if acc.is_zero():
             break
@@ -146,17 +140,14 @@ def theta_ideal(g: LieAlgebra, d: Decomposition) -> Subspace:
 
 def coordinate_complement(g: LieAlgebra) -> tuple[Subspace, list[int]]:
     """Basis-aligned complement of C^1(g): the non-pivot coordinates."""
-    comm = bracket_space(g, g.full_space())
-    coords = [i for i in range(g.dim) if i not in comm.pivots]
-    vecs = [g.basis_vector(i) for i in coords]
-    return Subspace.spanned_by(g.dim, vecs), coords
+    pivots = set(g.commutator_subspace().pivots)
+    coords = [i for i in range(g.dim) if i not in pivots]
+    return Subspace.coordinate(g.dim, coords), coords
 
 
-def _coordinate_decomposition(g: LieAlgebra, groups, commutator, description) -> Decomposition:
-    parts = tuple(
-        Subspace.spanned_by(g.dim, [g.basis_vector(i) for i in grp]) for grp in groups
-    )
-    return Decomposition(parts, commutator, description)
+def _coordinate_decomposition(g: LieAlgebra, groups, description) -> Decomposition:
+    parts = tuple(Subspace.coordinate(g.dim, grp) for grp in groups)
+    return Decomposition(parts, g.commutator_subspace(), description)
 
 
 def default_decompositions(g: LieAlgebra, budget: int = 512):
@@ -169,14 +160,13 @@ def default_decompositions(g: LieAlgebra, budget: int = 512):
     grouping lies inside Theta of the lines. So only budgets 0 (nothing),
     1 (the whole complement) and >= 2 (also its lines) differ.
     """
-    comm = bracket_space(g, g.full_space())
     _, coords = coordinate_complement(g)
     if not coords or budget < 1:
         return
-    yield _coordinate_decomposition(g, [coords], comm, "complement as a single part")
+    yield _coordinate_decomposition(g, [coords], "complement as a single part")
     if len(coords) > 1 and budget >= 2:
         yield _coordinate_decomposition(
-            g, [[c] for c in coords], comm, "complement split into coordinate lines"
+            g, [[c] for c in coords], "complement split into coordinate lines"
         )
 
 
@@ -186,7 +176,7 @@ def theta_search(
     budget: int = 512,
 ) -> ThetaCertificate | None:
     """First decomposition (registered ones first) with Theta != 0, or None."""
-    comm = bracket_space(g, g.full_space())
+    comm = g.commutator_subspace()
     if comm.dim == g.dim:
         raise ValueError("theta search needs C^1(g) != g")
     if span_intersect(g.center(), comm).is_zero():
@@ -215,7 +205,7 @@ def heisenberg_reiter_obstruction(
         raise ValueError("subspace ambient dimension does not match the algebra")
     if nilpotency_class(g) != 2:
         return HypothesesFail("algebra is not 2-step nilpotent")
-    comm = bracket_space(g, g.full_space())
+    comm = g.commutator_subspace()
     if comm.is_zero():
         return HypothesesFail("commutator is zero")
     for name, part in (("V1", v1), ("V2", v2)):

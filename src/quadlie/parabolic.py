@@ -51,26 +51,16 @@ class ParabolicNilradical:
     def o(self, root: RootT) -> int:
         return sum(root[i] for i in self.pi0)
 
-    @property
-    def index(self) -> dict[RootT, int]:
-        return {r: i for i, r in enumerate(self.delta_n)}
-
     def layer_indices(self, i: int) -> list[int]:
         return [b for b, r in enumerate(self.delta_n) if self.o(r) == i]
 
     def grading_layer(self, i: int) -> Subspace:
-        return Subspace.spanned_by(
-            self.algebra.dim, [self.algebra.basis_vector(b) for b in self.layer_indices(i)]
-        )
+        return Subspace.coordinate(self.algebra.dim, self.layer_indices(i))
 
     def grading_tail(self, j: int) -> Subspace:
         """Direct sum of the layers with o > j."""
-        vecs = [
-            self.algebra.basis_vector(b)
-            for b, r in enumerate(self.delta_n)
-            if self.o(r) > j
-        ]
-        return Subspace.spanned_by(self.algebra.dim, vecs)
+        tail = [b for b, r in enumerate(self.delta_n) if self.o(r) > j]
+        return Subspace.coordinate(self.algebra.dim, tail)
 
     @property
     def grading_dims(self) -> tuple[int, ...]:
@@ -250,12 +240,8 @@ def natural_marked_decomposition(pn: ParabolicNilradical) -> Decomposition:
     g = pn.algebra
     parts = []
     for a in pn.pi0:
-        vecs = [
-            g.basis_vector(b)
-            for b, r in enumerate(pn.delta_n)
-            if pn.o(r) == 1 and r[a] == 1
-        ]
-        parts.append(Subspace.spanned_by(g.dim, vecs))
+        coords = [b for b, r in enumerate(pn.delta_n) if pn.o(r) == 1 and r[a] == 1]
+        parts.append(Subspace.coordinate(g.dim, coords))
     comm = g.commutator_subspace()
     marks = ",".join(f"g{i + 1}" for i in pn.pi0)
     return Decomposition(tuple(parts), comm, f"first layer split by marked roots {marks}")
@@ -294,7 +280,7 @@ def structured_decompositions(
     groups = epsilon_shape_groups(pn)
     if groups and "other" not in groups:
         parts = [
-            Subspace.spanned_by(g.dim, [g.basis_vector(b) for b in groups[shape]])
+            Subspace.coordinate(g.dim, groups[shape])
             for shape in ("difference", "sum", "short", "long")
             if shape in groups
         ]

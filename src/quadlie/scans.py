@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .config import RunConfig
 from .graphs import Graph, GraphAlgebra, build_algebra, classify_graph, disjoint_union
-from .linalg import Subspace
 from .parabolic import (
     ParabolicNilradical,
     build_nilradical,
@@ -85,18 +84,11 @@ def sample_disjoint_unions(
 
 def _graph_registered_splits(ga: GraphAlgebra):
     """Bipartition classes give a two-isotropic-parts candidate when bipartite."""
-    graph = ga.graph
-    dim = ga.algebra.dim
-    ok, a, b = graph.is_bipartite()
-    if not ok or not graph.edges:
+    ok, a, b = ga.graph.is_bipartite()
+    if not ok or not ga.graph.edges:
         return []
-    class_a = [v for v in a]
-    class_b = [v for v in b]
-    if not class_a or not class_b:
-        return []
-    v1 = Subspace.spanned_by(dim, [ga.vertex_vector(v) for v in class_a])
-    v2 = Subspace.spanned_by(dim, [ga.vertex_vector(v) for v in class_b])
-    return [(v1, v2)]
+    # an edge has an endpoint in each class, so neither class is empty
+    return [(ga.vertex_space(a), ga.vertex_space(b))]
 
 
 @dataclass(frozen=True)

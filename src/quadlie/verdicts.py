@@ -35,7 +35,7 @@ from .jsonio import (
     vector_from_json,
     vector_to_json,
 )
-from .liealg import LieAlgebra, relative_series
+from .liealg import LieAlgebra, lower_central_series
 from .obstructions import (
     Decomposition,
     DimSeriesCertificate,
@@ -89,10 +89,10 @@ def decide(
     """Run the ladder. solver: auto (skip when obstructed or above the dim
     cap), always (cross-check mode, still capped), never (obstructions only)."""
     config = config or RunConfig()
-    rep = relative_series(g, g.full_space())
+    rep = lower_central_series(g)
     klass = rep.nilpotency_class()
 
-    obstruction = dim_series_obstruction(g, rep)
+    obstruction = dim_series_obstruction(g)
     if obstruction is None and klass == 2:
         for v1, v2 in hr_pairs:
             cert = heisenberg_reiter_obstruction(g, v1, v2)
@@ -274,6 +274,12 @@ def _reverify(g: LieAlgebra, cert: dict, kind: str) -> tuple[bool, str]:
         space = invariant_form_space(g)
         if space.dim == 0:
             return True, "no nonzero invariant form exists"
+        # one nonsingular member disproves the claim; expand only when every
+        # probe point is singular, as it is for every honest report
+        probe = RunConfig()
+        for t in range(3):
+            if not space.singular_at(trial_point(probe.seed, t, space.dim, probe.mc_range)):
+                return False, f"probe point {t} gives a nonsingular invariant form"
         poly = _det_polynomial(space)
         if poly:
             return False, "symbolic determinant is not identically zero"

@@ -8,8 +8,9 @@ import pytest
 
 from quadlie.cli import main
 from quadlie.config import RunConfig
+from quadlie.hall import free_nilpotent
 from quadlie.jsonio import algebra_to_json
-from quadlie.liealg import heisenberg
+from quadlie.liealg import direct_sum, heisenberg
 
 
 @pytest.fixture()
@@ -245,6 +246,28 @@ def test_python_dash_m_runs_the_command():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["verdict"]["kind"] == "refuted_obstruction"
+
+
+def test_verify_fails_a_forged_symbolic_refutation_within_seconds(tmp_path):
+    # n(3,2)^4 admits a metric; re-expanding its dim-24 determinant would take
+    # far longer than the timeout, one nonsingular probe member takes a moment
+    report = {
+        "algebra": algebra_to_json(direct_sum([free_nilpotent(3, 2)] * 4)),
+        "verdict": {
+            "kind": "refuted_symbolic",
+            "certificate": {"kind": "refuted_symbolic", "notes": "forged"},
+        },
+    }
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(report))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadlie", "verify", str(path)],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.startswith("FAIL:")
 
 
 def verify_tampered(capsys, tmp_path, golden: str, tamper) -> tuple[int, str]:

@@ -12,6 +12,7 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -282,6 +283,58 @@ def test_commutator_and_series_match_fraction_reference(g):
     assert g.commutator_subspace() == ref_bracket_space(g, full)
     assert g.center() == ref_centralizer(g, full)
     assert lower_central_series(g).ascending == tuple(ref_ascending_series(g, full))
+
+
+def ref_descending_series(g, v):
+    """C^0 = V, C^j = [g, C^(j-1)] until it repeats."""
+    terms = [v]
+    while len(terms) <= g.dim + 2:
+        nxt = ref_bracket_space(g, terms[-1])
+        if nxt == terms[-1]:
+            break
+        terms.append(nxt)
+    return terms
+
+
+@SETTINGS
+@given(algebras)
+def test_cached_invariants_match_fraction_reference(g):
+    """C^1, z(g) and the central series are computed once per algebra."""
+    full = Subspace.full(g.dim)
+    series = lower_central_series(g)
+    assert series is lower_central_series(g)
+    assert g.commutator_subspace() is g.commutator_subspace()
+    assert g.commutator_subspace() == ref_bracket_space(g, full) == series.descending_term(1)
+    assert g.center() == ref_centralizer(g, full)
+    assert series.descending == tuple(ref_descending_series(g, full))
+    assert series.ascending == tuple(ref_ascending_series(g, full))
+
+
+@st.composite
+def coordinate_indices(draw):
+    n = draw(st.integers(0, 6))
+    if n == 0:
+        return n, []
+    return n, draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+
+
+@SETTINGS
+@given(coordinate_indices())
+def test_coordinate_subspace_matches_spanned_unit_vectors(data):
+    n, idx = data
+    s = Subspace.coordinate(n, idx)
+    ref = Subspace.spanned_by(n, [unit(n, i) for i in idx])
+    assert s == ref and s.rows == ref.rows
+
+
+def test_coordinate_subspace_unsorted_duplicate_and_empty_indices():
+    for idx in ([3, 0, 2], [4, 1, 4, 1, 0], [], range(5)):
+        assert Subspace.coordinate(5, idx) == Subspace.spanned_by(5, [unit(5, i) for i in idx])
+    assert Subspace.coordinate(5, range(5)) == Subspace.full(5)
+    assert Subspace.coordinate(5, []) == Subspace.zero(5)
+    for bad in ([5], [-1, 2]):
+        with pytest.raises(ValueError):
+            Subspace.coordinate(5, bad)
 
 
 @SETTINGS

@@ -1,11 +1,16 @@
 import json
+import random
+
+import pytest
+from test_admits_corpus import CASES as ADMITS_CORPUS
 
 from quadlie.config import RunConfig
-from quadlie.graphs import build_algebra, cycle
+from quadlie.graphs import Graph, build_algebra, cycle, disjoint_union, triangle
 from quadlie.hall import free_nilpotent
-from quadlie.liealg import abelian, heisenberg
+from quadlie.liealg import abelian, heisenberg, permute_basis
+from quadlie.parabolic import build_nilradical
 from quadlie.scans import _graph_registered_splits
-from quadlie.verdicts import build_report, decide, reverify_report
+from quadlie.verdicts import build_report, certificate_payload, decide, reverify_report
 
 
 def report_for(g, config=None, **kw):
@@ -156,3 +161,42 @@ def test_byte_identical_reports():
     a = json.dumps(report_for(free_nilpotent(3, 2), cfg)[0], sort_keys=True)
     b = json.dumps(report_for(free_nilpotent(3, 2), cfg)[0], sort_keys=True)
     assert a == b
+
+
+# ------------------------------------------------- basis permutations
+
+PAW = Graph.build("abcd", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])
+PERMUTED_CASES = [
+    ("C4", build_algebra(cycle(4)).algebra),
+    ("C6", build_algebra(cycle(6)).algebra),
+    ("paw", build_algebra(PAW).algebra),
+    ("C4+K3", build_algebra(disjoint_union([cycle(4), triangle()])).algebra),
+    ("B3:g2", build_nilradical("B3", [2]).algebra),
+    ("C3:g1", build_nilradical("C3", [1]).algebra),
+    ("G2:g2", build_nilradical("G2", [2]).algebra),
+] + [(name, g) for name, g, _ in ADMITS_CORPUS if name.startswith("T*")]
+
+
+def ladder_invariants(g):
+    result = decide(g, RunConfig())
+    ok, details = reverify_report(build_report(result, RunConfig(), {"kind": "test"}))
+    assert ok, details
+    return (
+        result.kind,
+        certificate_payload(result)["kind"],
+        result.nilpotency_class,
+        result.lower_dims,
+        result.upper_dims,
+    )
+
+
+@pytest.mark.parametrize("name, g", PERMUTED_CASES, ids=[c[0] for c in PERMUTED_CASES])
+def test_permuted_basis_keeps_verdict_certificate_and_series(name, g):
+    """Renumbering the basis changes no verdict, certificate kind or series.
+
+    The central series terms of these algebras are coordinate subspaces, so
+    the permuted algebra meets them with its coordinates out of order.
+    """
+    order = list(range(g.dim))
+    random.Random(f"permute:{name}").shuffle(order)
+    assert ladder_invariants(permute_basis(g, order)) == ladder_invariants(g)
