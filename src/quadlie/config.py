@@ -32,8 +32,8 @@ class RunConfig:
     theta_budget: int = field(
         default=512,
         metadata={
-            "help": "coordinate decompositions the theta search tries; only 0 (none),"
-            " 1 (the whole complement) and >= 2 (also its coordinate lines) differ"
+            "help": "0 turns off the theta search's default decomposition; any value"
+            " >= 1 tries the coordinate lines of the complement of C^1(g)"
         },
     )
     output: str = "text"

@@ -1,10 +1,11 @@
 """Lie algebras from exact structure constants.
 
 Brackets are stored sparsely for basis pairs (i, j) with i < j only;
-antisymmetry is enforced by construction. The Jacobi identity is checked for
-every basis triple at construction time. Central-series machinery works for
-an arbitrary subspace V (the relative series C^j(V), C_j(V)); V = g gives the
-ordinary lower and upper central series.
+antisymmetry is enforced by construction. The Jacobi identity is checked at
+construction time, on integers, for every basis triple that has a bracketed
+pair. Central-series machinery works for an arbitrary subspace V (the
+relative series C^j(V), C_j(V)); V = g gives the ordinary lower and upper
+central series.
 
 An algebra is immutable after construction, so its invariants are computed
 once and cached on it: C^1(g) (`commutator_subspace`), its central series
@@ -152,25 +153,26 @@ class LieAlgebra:
 
 
 def validate(g: LieAlgebra) -> JacobiViolation | None:
-    """Check Jacobi on every basis triple; None when the table is consistent."""
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            cij = g.brackets.get((i, j))
-            for k in range(j + 1, g.dim):
-                acc: dict[int, Fraction] = {}
-                for pair_terms, other in (
-                    (cij, k),
-                    (g.brackets.get((j, k)), i),
-                    ({m: -c for m, c in (g.brackets.get((i, k)) or {}).items()}, j),
-                ):
-                    if not pair_terms:
-                        continue
-                    for m, c in pair_terms.items():
-                        for t, s in g.bracket_basis(m, other).items():
-                            acc[t] = acc.get(t, Fraction(0)) + c * s
-                nonzero = {t: v for t, v in acc.items() if v}
-                if nonzero:
-                    return JacobiViolation((i, j, k), nonzero)
+    """Check Jacobi on every basis triple; None when the table is consistent.
+
+    Works on D times the structure constants (`_int_ad`), so a jacobiator
+    coordinate v stands for v / D^2. Only triples with a bracketed pair are
+    visited, in lexicographic order: every other jacobiator is zero.
+    """
+    table: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for m, entries in enumerate(g._int_ad):
+        for j, k, c in entries:
+            table.setdefault((m, j), []).append((k, c))
+    triples = {tuple(sorted((i, j, k))) for i, j in g.brackets for k in range(g.dim)}
+    for i, j, k in sorted(t for t in triples if t[0] < t[1] < t[2]):
+        acc: dict[int, int] = {}
+        for a, b, other in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, c in table.get((a, b), ()):
+                for t, s in table.get((m, other), ()):
+                    acc[t] = acc.get(t, 0) + c * s
+        nonzero = {t: Fraction(v, g._den**2) for t, v in acc.items() if v}
+        if nonzero:
+            return JacobiViolation((i, j, k), nonzero)
     return None
 
 

@@ -3,8 +3,8 @@
 Three certified refutation mechanisms: the dimension identity of the central
 series pair, a nonzero Theta ideal for some decomposition g = V1 + ... + Vs +
 C^1(g), and the two-isotropic-parts (Heisenberg-Reiter) configuration. The
-Theta search tries registered decompositions first, then the whole
-coordinate complement of C^1(g) and its coordinate lines. Every certificate
+Theta search tries registered decompositions first, then the coordinate
+lines of the basis-aligned complement of C^1(g). Every certificate
 re-verifies from its own payload, independent of the search path that
 produced it.
 """
@@ -31,7 +31,6 @@ class Decomposition:
     """Vector space splitting g = V1 + ... + Vs + C^1(g) (direct)."""
 
     parts: tuple[Subspace, ...]
-    commutator: Subspace
     description: str = ""
 
 
@@ -40,10 +39,8 @@ def validate_decomposition(g: LieAlgebra, d: Decomposition) -> None:
         raise ValueError("decomposition needs at least one part")
     if any(p.is_zero() for p in d.parts):
         raise ValueError("decomposition parts must be nonzero")
-    if d.commutator != g.commutator_subspace():
-        raise ValueError("decomposition commutator is not C^1(g)")
-    total = d.commutator
-    dims = d.commutator.dim
+    total = g.commutator_subspace()
+    dims = total.dim
     for p in d.parts:
         total = span_sum(total, p)
         dims += p.dim
@@ -90,7 +87,6 @@ class ThetaCertificate:
     kind = "theta"
 
     def verify(self, g: LieAlgebra) -> bool:
-        validate_decomposition(g, self.decomposition)
         theta = theta_ideal(g, self.decomposition)
         return (
             theta == self.theta
@@ -145,29 +141,21 @@ def coordinate_complement(g: LieAlgebra) -> tuple[Subspace, list[int]]:
     return Subspace.coordinate(g.dim, coords), coords
 
 
-def _coordinate_decomposition(g: LieAlgebra, groups, description) -> Decomposition:
-    parts = tuple(Subspace.coordinate(g.dim, grp) for grp in groups)
-    return Decomposition(parts, g.commutator_subspace(), description)
-
-
 def default_decompositions(g: LieAlgebra, budget: int = 512):
-    """The whole complement of C^1(g), then its coordinate lines, up to `budget`.
+    """The coordinate lines of the complement of C^1(g), when `budget` >= 1.
 
     The complement is the basis-aligned one of `coordinate_complement`. No
-    coarser grouping of its coordinates is tried, because none can hit first:
-    a part V_A spanned by coordinates A has z(V_A) = cap_{c in A} z(e_c), so
-    [z(V_A), g] lies in [z(e_c), g] for every c in A, and Theta of any
-    grouping lies inside Theta of the lines. So only budgets 0 (nothing),
-    1 (the whole complement) and >= 2 (also its lines) differ.
+    coarser grouping of its coordinates is tried, because none can hit where
+    the lines miss: a part V_A spanned by coordinates A has z(V_A) =
+    cap_{c in A} z(e_c), so [z(V_A), g] lies in [z(e_c), g] for every c in
+    A, and on every Lie algebra Theta of any grouping, the whole complement
+    included, lies inside Theta of the lines. So only budgets 0 (nothing)
+    and >= 1 (the lines) differ.
     """
     _, coords = coordinate_complement(g)
-    if not coords or budget < 1:
-        return
-    yield _coordinate_decomposition(g, [coords], "complement as a single part")
-    if len(coords) > 1 and budget >= 2:
-        yield _coordinate_decomposition(
-            g, [[c] for c in coords], "complement split into coordinate lines"
-        )
+    if coords and budget >= 1:
+        parts = tuple(Subspace.coordinate(g.dim, [c]) for c in coords)
+        yield Decomposition(parts, "complement split into coordinate lines")
 
 
 def theta_search(

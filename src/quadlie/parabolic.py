@@ -242,9 +242,8 @@ def natural_marked_decomposition(pn: ParabolicNilradical) -> Decomposition:
     for a in pn.pi0:
         coords = [b for b, r in enumerate(pn.delta_n) if pn.o(r) == 1 and r[a] == 1]
         parts.append(Subspace.coordinate(g.dim, coords))
-    comm = g.commutator_subspace()
     marks = ",".join(f"g{i + 1}" for i in pn.pi0)
-    return Decomposition(tuple(parts), comm, f"first layer split by marked roots {marks}")
+    return Decomposition(tuple(parts), f"first layer split by marked roots {marks}")
 
 
 def epsilon_shape_groups(pn: ParabolicNilradical) -> dict[str, list[int]]:
@@ -274,7 +273,6 @@ def structured_decompositions(
 ) -> tuple[list[Decomposition], list[tuple[Subspace, Subspace]]]:
     """Construction-natural theta decompositions and two-isotropic-part splits."""
     g = pn.algebra
-    comm = g.commutator_subspace()
     theta_decs = [natural_marked_decomposition(pn)]
     hr_pairs: list[tuple[Subspace, Subspace]] = []
     groups = epsilon_shape_groups(pn)
@@ -286,7 +284,7 @@ def structured_decompositions(
         ]
         if len(parts) >= 2:
             theta_decs.append(
-                Decomposition(tuple(parts), comm, "first layer split by epsilon shape")
+                Decomposition(tuple(parts), "first layer split by epsilon shape")
             )
         if len(parts) == 2:
             hr_pairs.append((parts[0], parts[1]))

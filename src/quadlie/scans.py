@@ -23,7 +23,7 @@ from .parabolic import (
     structured_decompositions,
     verify_lcs_grading,
 )
-from .roots import RANK_BOUNDS
+from .roots import RANK_BOUNDS, CartanType
 from .verdicts import AnalysisResult, decide
 
 
@@ -132,18 +132,13 @@ def scan_graph_case(graph: Graph, config: RunConfig, solver: str = "always") -> 
         solver=solver,
     )
     agree = result.decided and (prediction.admits == result.admits)
-    cert_kind = "none"
-    if result.obstruction is not None:
-        cert_kind = result.obstruction.kind
-    elif result.solver is not None:
-        cert_kind = result.solver.kind
     return GraphScanRecord(
         graph_case_name(graph),
         len(graph.vertices),
         len(graph.edges),
         prediction.prediction,
         result.kind,
-        cert_kind,
+        result.certificate_kind,
         agree,
         result,
         graph,
@@ -218,11 +213,6 @@ def scan_parabolic_case(
     elif prediction.prediction == "n23":
         free_match = "n23" if match_free_nilpotent(pn, 2, 3) is not None else "missing"
         agree = agree and free_match == "n23"
-    cert_kind = "none"
-    if result.obstruction is not None:
-        cert_kind = result.obstruction.kind
-    elif result.solver is not None:
-        cert_kind = result.solver.kind
     return ParabolicScanRecord(
         pn.case_name(),
         pn.algebra.dim,
@@ -230,7 +220,7 @@ def scan_parabolic_case(
         pn.grading_dims,
         prediction.prediction,
         result.kind,
-        cert_kind,
+        result.certificate_kind,
         agree,
         free_match,
         result,
@@ -255,11 +245,12 @@ def parabolic_cases(types: list[str], max_rank: int, pair_rank: int = 4):
                         for j in range(i + 1, rank + 1):
                             cases.append((type_string, (i, j)))
         else:
-            type_string = entry
-            rank = int(entry[1:])
-            for l in range(1, rank + 1):
+            ct = CartanType.parse(entry)
+            type_string = str(ct)
+            for l in range(1, ct.rank + 1):
                 cases.append((type_string, (l,)))
-            cases.append((type_string, (1, 2)))
+            if ct.rank >= 2:
+                cases.append((type_string, (1, 2)))
     return cases
 
 

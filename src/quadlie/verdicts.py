@@ -2,7 +2,7 @@
 
 Ladder: certified structural obstructions first (dimension identity, stored
 two-isotropic-part splits, theta search over the registered decompositions,
-then the whole coordinate complement of C^1(g) and its coordinate lines),
+then the coordinate lines of the complement of C^1(g)),
 then the form solver (witness search, symbolic determinant, Monte Carlo
 refutation). Every outcome carries a certificate payload that
 `reverify_report` can recheck offline from the report alone.
@@ -69,6 +69,15 @@ class AnalysisResult:
         if self.solver is not None:
             return self.solver.kind
         return "undecided"
+
+    @property
+    def certificate_kind(self) -> str:
+        """The obstruction's kind, else the solver's, else "none"."""
+        if self.obstruction is not None:
+            return self.obstruction.kind
+        if self.solver is not None:
+            return self.solver.kind
+        return "none"
 
     @property
     def admits(self) -> bool:
@@ -233,6 +242,15 @@ def reverify_report(report: dict) -> tuple[bool, str]:
         return False, f"malformed report payload: {exc}"
 
 
+def _int_fields(cert: dict, *names: str) -> list[int]:
+    """The named certificate fields, each of which must be an int (no bool)."""
+    values = [cert[name] for name in names]
+    for name, value in zip(names, values):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    return values
+
+
 def _reverify(g: LieAlgebra, cert: dict, kind: str) -> tuple[bool, str]:
 
     if kind == "admits":
@@ -240,23 +258,24 @@ def _reverify(g: LieAlgebra, cert: dict, kind: str) -> tuple[bool, str]:
         check = verify_form(g, witness)
         if not check.ok:
             return False, f"stored witness fails exact verification: {check.reason}"
-        if list(signature(witness)) != cert["signature"]:
+        stored = cert["signature"]
+        if type(stored) is not list or any(type(v) is not int for v in stored):
+            raise ValueError(f"signature must be a list of integers, got {stored!r}")
+        if list(signature(witness)) != stored:
             return False, "stored signature does not match the witness"
         return True, "witness re-verified: invariant and nondegenerate"
 
     if kind == "dim_series":
-        j = cert["j"]
-        if type(j) is not int or j < 1:
-            raise ValueError(f"j must be a positive integer, got {j!r}")
-        ob = DimSeriesCertificate(j, cert["dim_descending"], cert["dim_ascending"], cert["dim"])
+        fields = _int_fields(cert, "j", "dim_descending", "dim_ascending", "dim")
+        if fields[0] < 1:
+            raise ValueError(f"j must be positive, got {fields[0]}")
+        ob = DimSeriesCertificate(*fields)
         ok = ob.verify(g)
         return ok, "dimension-series certificate recomputed" if ok else "dimension-series certificate failed"
 
     if kind == "theta":
         parts = tuple(subspace_from_json(p) for p in cert["parts"])
-        decomposition = Decomposition(
-            parts, g.commutator_subspace(), cert.get("description", "")
-        )
+        decomposition = Decomposition(parts, cert.get("description", ""))
         theta = subspace_from_json(cert["theta"])
         witness = vector_from_json(cert["witness_vector"], g.dim)
         ob = ThetaCertificate(decomposition, theta, witness)
@@ -286,7 +305,7 @@ def _reverify(g: LieAlgebra, cert: dict, kind: str) -> tuple[bool, str]:
         return True, "determinant polynomial re-expanded to zero"
 
     if kind == "refuted_monte_carlo":
-        seed, trials, span = cert["seed"], cert["trials"], cert["mc_range"]
+        seed, trials, span = _int_fields(cert, "seed", "trials", "mc_range")
         if span < 1:
             raise ValueError(f"mc_range must be at least 1, got {span}")
         if trials < 1 or Fraction(g.dim, span) >= 1:

@@ -140,6 +140,19 @@ def test_exit_code_2_on_bad_input(capsys, tmp_path):
     assert main(["free", "0", "2"]) == 2
 
 
+@pytest.mark.parametrize("types", ["X", "E", "A,X3"])
+def test_scan_parabolics_rejects_an_unparsable_type(capsys, types):
+    assert main(["scan-parabolics", "--types", types]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert repr(types.split(",")[-1][0]) in err
+
+
+def test_scan_parabolics_rank_one_type_has_no_pair_case(capsys):
+    assert main(["scan-parabolics", "--types", "A1"]) == 0
+    assert "A1:g1" in capsys.readouterr().out
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -312,11 +325,11 @@ def test_verify_rejects_zero_mc_range_as_malformed(capsys, tmp_path):
     assert out.count("\n") == 1
 
 
-def set_j(value):
+def set_dim_series(field, value):
     def tamper(report):
         cert = report["verdict"]["certificate"]
         assert cert["kind"] == "dim_series"
-        cert["j"] = value
+        cert[field] = value
 
     return tamper
 
@@ -330,16 +343,61 @@ def resize_part(name, ambient):
     return tamper
 
 
+def set_monte_carlo(field, value):
+    def tamper(report):
+        cert = report["verdict"]["certificate"]
+        assert cert["kind"] == "refuted_monte_carlo"
+        cert[field] = value
+
+    return tamper
+
+
+MC_REPORT = "analyze_C4_theta_budget_0.json"
+
+
+def set_signature(value):
+    def tamper(report):
+        cert = report["verdict"]["certificate"]
+        assert cert["kind"] == "admits"
+        cert["signature"] = value
+
+    return tamper
+
+
 @pytest.mark.parametrize(
     "golden, tamper",
     [
-        ("free_3_3.json", set_j(-5)),
-        ("free_3_3.json", set_j(0)),
-        ("free_3_3.json", set_j(True)),
+        ("free_3_3.json", set_dim_series("j", -5)),
+        ("free_3_3.json", set_dim_series("j", 0)),
+        ("free_3_3.json", set_dim_series("j", True)),
+        ("free_2_2.json", set_dim_series("dim_ascending", True)),
+        ("free_2_2.json", set_dim_series("dim_descending", 1.0)),
         ("graph_C4.json", resize_part("v1", 2)),
         ("graph_C4.json", resize_part("v2", 3)),
+        (MC_REPORT, set_monte_carlo("seed", [1])),
+        (MC_REPORT, set_monte_carlo("seed", True)),
+        (MC_REPORT, set_monte_carlo("trials", "40")),
+        (MC_REPORT, set_monte_carlo("trials", 40.0)),
+        (MC_REPORT, set_monte_carlo("mc_range", True)),
+        ("analyze_abelian3.json", set_signature([3.0, False, 0])),
+        ("analyze_abelian3.json", set_signature("300")),
     ],
-    ids=["j=-5", "j=0", "j=true", "v1-ambient-2", "v2-ambient-3"],
+    ids=[
+        "j=-5",
+        "j=0",
+        "j=true",
+        "dim_ascending=true",
+        "dim_descending=1.0",
+        "v1-ambient-2",
+        "v2-ambient-3",
+        "seed=[1]",
+        "seed=true",
+        "trials='40'",
+        "trials=40.0",
+        "mc_range=true",
+        "signature=[3.0,false,0]",
+        "signature='300'",
+    ],
 )
 def test_verify_rejects_forged_certificate_fields_as_malformed(capsys, tmp_path, golden, tamper):
     code, out = verify_tampered(capsys, tmp_path, golden, tamper)

@@ -55,7 +55,7 @@ CASES = {
     # theta
     "analyze_C4": ["analyze", INPUTS / "c4_algebra.json"],
     "graph_paw": ["graph", INPUTS / "paw.txt"],
-    # budget 1 tries only the whole complement (Theta = 0); 2 adds its lines
+    # every budget >= 1 tries the same coordinate lines, so 1 and 2 agree
     "analyze_C4_theta_budget_1": [
         "analyze", INPUTS / "c4_algebra.json", "--theta-budget", "1",
     ],

@@ -152,8 +152,7 @@ def test_c4_theta_via_bipartition_and_heisenberg_reiter():
     even, odd = (0, 2), (1, 3)
     v1 = Subspace.spanned_by(g.dim, [ga.vertex_vector(v) for v in even])
     v2 = Subspace.spanned_by(g.dim, [ga.vertex_vector(v) for v in odd])
-    comm = g.commutator_subspace()
-    theta = theta_ideal(g, Decomposition((v1, v2), comm, "bipartition classes"))
+    theta = theta_ideal(g, Decomposition((v1, v2), "bipartition classes"))
     assert not theta.is_zero()
     cert = heisenberg_reiter_obstruction(g, v1, v2)
     assert cert.verify(g)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from quadlie.hall import HallBasis, free_nilpotent
 from quadlie.liealg import (
     JacobiError,
+    JacobiViolation,
     LieAlgebra,
     abelian,
     bracket_space,
@@ -67,6 +69,61 @@ def test_validate_reports_first_violating_triple():
     violation = exc.value.violation
     assert violation.triple == (0, 1, 2)
     assert violation.coords == {2: Q(-1)}
+
+
+def reference_validate(g: LieAlgebra) -> JacobiViolation | None:
+    """The Jacobi check over all basis triples, in Fractions."""
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            cij = g.brackets.get((i, j))
+            for k in range(j + 1, g.dim):
+                acc: dict[int, Fraction] = {}
+                for pair_terms, other in (
+                    (cij, k),
+                    (g.brackets.get((j, k)), i),
+                    ({m: -c for m, c in (g.brackets.get((i, k)) or {}).items()}, j),
+                ):
+                    if not pair_terms:
+                        continue
+                    for m, c in pair_terms.items():
+                        for t, s in g.bracket_basis(m, other).items():
+                            acc[t] = acc.get(t, Fraction(0)) + c * s
+                nonzero = {t: v for t, v in acc.items() if v}
+                if nonzero:
+                    return JacobiViolation((i, j, k), nonzero)
+    return None
+
+
+def random_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3, 4, 6]))
+
+
+def random_table(seed: int) -> LieAlgebra:
+    """A rational 2-step table (always Lie), with one bracket planted into it
+    on odd seeds (usually not Lie)."""
+    rng = random.Random(f"jacobi:{seed}")
+    n = rng.randint(3, 7)
+    p = rng.randint(2, n - 1)
+    brackets = {}
+    for i in range(p):
+        for j in range(i + 1, p):
+            if rng.random() < 0.6:
+                terms = {k: random_rational(rng) for k in range(p, n) if rng.random() < 0.5}
+                brackets[(i, j)] = terms
+    if seed % 2:
+        i, j = sorted(rng.sample(range(n), 2))
+        brackets[(i, j)] = {rng.randrange(n): random_rational(rng)}
+    return LieAlgebra(n, brackets, check=False)
+
+
+def test_integer_jacobi_check_matches_the_fraction_reference():
+    outcomes = []
+    for seed in range(200):
+        g = random_table(seed)
+        got = validate(g)
+        assert got == reference_validate(g), seed
+        outcomes.append((got is None, g._den > 1))
+    assert {(True, True), (False, True)} <= set(outcomes)
 
 
 def test_bracket_table_index_errors():

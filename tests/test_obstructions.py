@@ -48,29 +48,25 @@ def test_dim_series_free_two_step_iff_three_generators():
 
 def test_theta_abelian_single_part_is_zero():
     g = abelian(3)
-    d = Decomposition((Subspace.full(3),), Subspace.zero(3), "whole space")
+    d = Decomposition((Subspace.full(3),), "whole space")
     assert theta_ideal(g, d).is_zero()
 
 
 def test_decomposition_validation():
     g = heisenberg()
-    comm = Subspace.spanned_by(3, [[0, 0, 1]])
     with pytest.raises(ValueError):
-        validate_decomposition(g, Decomposition((), comm))
+        validate_decomposition(g, Decomposition(()))
     with pytest.raises(ValueError):
-        validate_decomposition(g, Decomposition((Subspace.zero(3),), comm))
+        validate_decomposition(g, Decomposition((Subspace.zero(3),)))
     with pytest.raises(ValueError):
-        # wrong commutator
-        validate_decomposition(
-            g, Decomposition((Subspace.spanned_by(3, [[1, 0, 0], [0, 1, 0]]),), Subspace.zero(3))
-        )
+        # too small: span{e1} + C^1(g) misses e2
+        validate_decomposition(g, Decomposition((Subspace.spanned_by(3, [[1, 0, 0]]),)))
     with pytest.raises(ValueError):
         # not direct
         validate_decomposition(
             g,
             Decomposition(
                 (Subspace.spanned_by(3, [[1, 0, 0]]), Subspace.spanned_by(3, [[1, 0, 0]])),
-                comm,
             ),
         )
 
