@@ -15,22 +15,12 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .config import INT_FIELDS, RunConfig, flag_name
-from .graphs import GraphError, build_algebra, classify_graph, parse_graph
+from .graphs import GraphError, parse_graph
 from .hall import free_nilpotent
 from .jsonio import InputError, load_algebra, subspace_from_json, subspace_to_json
 from .liealg import JacobiError, relative_series
-from .parabolic import (
-    build_nilradical,
-    classify_nilradical,
-    parse_parabolic_spec,
-    structured_decompositions,
-    verify_lcs_grading,
-)
-from .scans import (
-    _graph_registered_splits,
-    scan_graphs,
-    scan_parabolics,
-)
+from .parabolic import parse_parabolic_spec
+from .scans import scan_graph_case, scan_graphs, scan_parabolic_case, scan_parabolics
 from .verdicts import build_report, decide, reverify_report
 
 
@@ -114,7 +104,7 @@ def _emit(report: dict, config: RunConfig) -> None:
             f"lower central dims {algebra.get('lower_central_dims')}, "
             f"upper central dims {algebra.get('upper_central_dims')}"
         )
-    for key in ("grading_dims", "prediction", "reason", "free_match", "agree"):
+    for key in ("grading_dims", "prediction", "reason", "agree"):
         if key in report:
             print(f"{key}: {report[key]}")
     verdict = report["verdict"]
@@ -125,14 +115,6 @@ def _emit(report: dict, config: RunConfig) -> None:
         print(f"timings: {report['timings']}")
 
 
-def _finish(report, config, agree: bool | None) -> int:
-    _emit(report, config)
-    if agree is False:
-        print("DISAGREEMENT: computed verdict contradicts the classification", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _timed(config: RunConfig, fn):
     start = time.perf_counter()
     out = fn()
@@ -141,50 +123,46 @@ def _timed(config: RunConfig, fn):
     return out, timings
 
 
+def _finish(config, result, descriptor, timings, extra=None, agree=None, why=None) -> int:
+    """Emit the verdict report; exit 1 when `agree` is False."""
+    report = build_report(result, config, descriptor, extra=extra, timings=timings)
+    _emit(report, config)
+    if agree is False:
+        why = why or "computed verdict contradicts the classification"
+        print(f"DISAGREEMENT: {why}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def _solver(args) -> str:
+    return "never" if args.obstructions_only else "auto"
+
+
 def _cmd_analyze(args) -> int:
     config = _config_from_args(args)
     g = load_algebra(Path(args.path).read_text())
-    solver = "never" if args.obstructions_only else "auto"
-    result, timings = _timed(config, lambda: decide(g, config, solver=solver))
-    report = build_report(
-        result,
-        config,
-        {"kind": "structure-constants", "path": str(args.path)},
-        timings=timings,
+    result, timings = _timed(config, lambda: decide(g, config, solver=_solver(args)))
+    return _finish(
+        config, result, {"kind": "structure-constants", "path": str(args.path)}, timings
     )
-    return _finish(report, config, None)
 
 
 def _cmd_graph(args) -> int:
     config = _config_from_args(args)
     graph = parse_graph(Path(args.path).read_text())
-    ga = build_algebra(graph)
-    prediction = classify_graph(graph)
-    solver = "never" if args.obstructions_only else "auto"
-
-    def run():
-        return decide(
-            ga.algebra, config, hr_pairs=_graph_registered_splits(ga), solver=solver
-        )
-
-    result, timings = _timed(config, run)
-    agree = (prediction.admits == result.admits) if result.decided else None
-    report = build_report(
-        result,
-        config,
-        {"kind": "graph", "path": str(args.path)},
-        extra={
-            "graph": {
-                "vertices": list(graph.vertices),
-                "edges": [[graph.vertices[i], graph.vertices[j]] for i, j in graph.edges],
-            },
-            "prediction": prediction.prediction,
-            "reason": prediction.reason,
-            "agree": agree,
+    record, timings = _timed(config, lambda: scan_graph_case(graph, config, _solver(args)))
+    agree = record.agree if record.result.decided else None
+    extra = {
+        "graph": {
+            "vertices": list(graph.vertices),
+            "edges": [[graph.vertices[i], graph.vertices[j]] for i, j in graph.edges],
         },
-        timings=timings,
-    )
-    return _finish(report, config, agree)
+        "prediction": record.prediction,
+        "reason": record.reason,
+        "agree": agree,
+    }
+    descriptor = {"kind": "graph", "path": str(args.path)}
+    return _finish(config, record.result, descriptor, timings, extra, agree)
 
 
 def _cmd_free(args) -> int:
@@ -193,52 +171,30 @@ def _cmd_free(args) -> int:
         raise InputError("free nilpotent algebras need p >= 1 and k >= 1")
     g = free_nilpotent(args.p, args.k)
     result, timings = _timed(config, lambda: decide(g, config))
-    report = build_report(
-        result,
-        config,
-        {"kind": "free-nilpotent", "generators": args.p, "steps": args.k},
-        timings=timings,
-    )
-    return _finish(report, config, None)
+    descriptor = {"kind": "free-nilpotent", "generators": args.p, "steps": args.k}
+    return _finish(config, result, descriptor, timings)
 
 
 def _cmd_parabolic(args) -> int:
     config = _config_from_args(args)
     type_string, pi0 = parse_parabolic_spec(args.spec)
-    pn = build_nilradical(type_string, pi0)
-    grading = verify_lcs_grading(pn)
-    prediction = classify_nilradical(type_string, pi0)
-    theta_decs, hr_pairs = structured_decompositions(pn)
-    solver = "never" if args.obstructions_only else "auto"
-
-    def run():
-        return decide(
-            pn.algebra,
-            config,
-            theta_decompositions=theta_decs,
-            hr_pairs=hr_pairs,
-            solver=solver,
-        )
-
-    result, timings = _timed(config, run)
-    agree = (prediction.admits == result.admits) if result.decided else None
-    report = build_report(
-        result,
-        config,
-        {"kind": "parabolic", "case": pn.case_name()},
-        extra={
-            "grading_dims": list(pn.grading_dims),
-            "grading_consistent": grading.ok,
-            "prediction": prediction.prediction,
-            "reason": prediction.reason,
-            "agree": agree,
-        },
-        timings=timings,
+    record, timings = _timed(
+        config, lambda: scan_parabolic_case(type_string, pi0, config, _solver(args))
     )
-    if not grading.ok:
-        print("DISAGREEMENT: grading does not match the central series", file=sys.stderr)
-        return 1
-    return _finish(report, config, agree)
+    agree = record.agree if record.result.decided else None
+    why = None
+    if not record.grading_ok:
+        # a disagreement even when the case is undecided
+        agree, why = False, "grading does not match the central series"
+    extra = {
+        "grading_dims": list(record.grading_dims),
+        "grading_consistent": record.grading_ok,
+        "prediction": record.prediction,
+        "reason": record.reason,
+        "agree": agree,
+    }
+    descriptor = {"kind": "parabolic", "case": record.name}
+    return _finish(config, record.result, descriptor, timings, extra, agree, why)
 
 
 def _cmd_series(args) -> int:

@@ -2,6 +2,8 @@
 
 File indices are 1-based; internal indices are 0-based. Rationals are strings
 "p" or "p/q" with q > 0 (floats are rejected so nothing ever rounds).
+Dimensions and indices must have type `int` exactly: `bool` is a subclass of
+`int`, and JSON `true` must not pass for 1.
 """
 
 from __future__ import annotations
@@ -67,29 +69,35 @@ def algebra_to_json(g: LieAlgebra) -> dict:
     return {"dim": g.dim, "labels": list(g.labels), "brackets": brackets}
 
 
+def _list_of(value, kind: type, what: str) -> list:
+    """value as a list of `kind` (dict or list) entries, else InputError."""
+    if not isinstance(value, list) or not all(isinstance(x, kind) for x in value):
+        raise InputError(f"{what} must be a list of {'objects' if kind is dict else 'lists'}")
+    return value
+
+
 def algebra_from_json(obj, check: bool = True) -> LieAlgebra:
     if not isinstance(obj, dict) or "dim" not in obj:
         raise InputError("structure-constant JSON needs at least a 'dim' field")
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 0:
+    if type(dim) is not int or dim < 0:
         raise InputError(f"bad dimension {dim!r}")
     labels = obj.get("labels")
-    if labels is not None and len(labels) != dim:
-        raise InputError(f"expected {dim} labels, got {len(labels)}")
+    if labels is not None and (not isinstance(labels, list) or len(labels) != dim):
+        raise InputError(f"expected a list of {dim} labels, got {labels!r}")
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for entry in obj.get("brackets", []):
-        try:
-            i, j = entry["i"], entry["j"]
-        except (TypeError, KeyError) as exc:
-            raise InputError(f"bracket entry {entry!r} needs 'i' and 'j'") from exc
+    for entry in _list_of(obj.get("brackets", []), dict, "'brackets'"):
+        i, j = entry.get("i"), entry.get("j")
+        if type(i) is not int or type(j) is not int:
+            raise InputError(f"bracket entry {entry!r} needs integer 'i' and 'j'")
         if not (1 <= i < j <= dim):
             raise InputError(f"bracket pair ({i},{j}) must satisfy 1 <= i < j <= {dim}")
         if (i - 1, j - 1) in table:
             raise InputError(f"duplicate bracket entry for ({i},{j})")
         terms: dict[int, Fraction] = {}
-        for term in entry.get("terms", []):
+        for term in _list_of(entry.get("terms", []), dict, f"'terms' of bracket ({i},{j})"):
             k = term.get("k")
-            if not isinstance(k, int) or not 1 <= k <= dim:
+            if type(k) is not int or not 1 <= k <= dim:
                 raise InputError(f"bracket target index {k!r} out of range 1..{dim}")
             if k - 1 in terms:
                 raise InputError(f"duplicate target {k} in bracket ({i},{j})")
@@ -123,9 +131,11 @@ def subspace_from_json(obj) -> Subspace:
     if not isinstance(obj, dict) or "ambient_dim" not in obj:
         raise InputError("subspace JSON needs 'ambient_dim' and 'vectors'")
     ambient = obj["ambient_dim"]
-    if not isinstance(ambient, int) or ambient < 0:
+    if type(ambient) is not int or ambient < 0:
         raise InputError(f"bad ambient dimension {ambient!r}")
-    vectors = [vector_from_json(v, ambient) for v in obj.get("vectors", [])]
+    vectors = [
+        vector_from_json(v, ambient) for v in _list_of(obj.get("vectors", []), list, "'vectors'")
+    ]
     return Subspace.spanned_by(ambient, vectors)
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .linalg import Subspace, _int_nullspace, _int_span, as_fraction_vector
+from .linalg import Subspace, _int_nullspace, _int_span, as_fraction_vector, sparse_nullspace
 
 BracketTable = dict[tuple[int, int], dict[int, Fraction]]
 
@@ -223,38 +223,20 @@ def centralizer(g: LieAlgebra, v: Subspace) -> Subspace:
     return _int_nullspace(rows, g.dim)
 
 
-def _residual_rows(v: Subspace) -> list[list[int]]:
-    """Integer rows whose common kernel is V, one per non-pivot coordinate a.
-
-    Row a is a multiple of e_a - sum_r v_r[a] e_(p_r): the coordinate a of a
-    vector's residual after reduction against the RREF basis v_r.
-    """
-    n = v.ambient
-    pivot_set = set(v.pivots)
-    out = []
-    for a in range(n):
-        if a in pivot_set:
-            continue
-        hits = [(row[p], row[a], p) for row, p in zip(v.ints, v.pivots) if row[a]]
-        scale = lcm(1, *(lead for lead, _, _ in hits))
-        row = [0] * n
-        row[a] = scale
-        for lead, x, p in hits:
-            row[p] = -x * (scale // lead)
-        out.append(row)
-    return out
-
-
 def _ascending_step(g: LieAlgebra, prev: Subspace) -> Subspace:
-    """{X : [X, g] contained in prev}."""
+    """{X : [X, g] contained in prev}.
+
+    prev is the common kernel of its annihilator, the rows y with y . v = 0
+    for every v in prev; these are the kernel vectors of prev's own rows.
+    """
     if prev.dim == g.dim:
         return g.full_space()
-    resid = _residual_rows(prev)
+    annihilator = sparse_nullspace([dict(enumerate(r)) for r in prev.ints], g.dim)[0]
     rows = []
     for entries in g._int_ad:
-        # one row per e_i and residual row: up to sign, coordinate k of
+        # one row per e_i and annihilator row: up to sign, coordinate k of
         # D [X, e_i] is the sum of c x_m over the entries (m, k, c) of e_i
-        for rrow in resid:
+        for rrow in annihilator:
             row = [0] * g.dim
             for m, k, c in entries:
                 r = rrow[k]

@@ -9,9 +9,11 @@ its indices: its canonical rows are the sorted unit rows.
 `Matrix` holds `fractions.Fraction` entries (Gram matrices, JSON), and
 `Subspace.rows` is a Fraction view of the basis made on demand.
 
-All elimination runs on integers, through the two kernels `rref_int` and
-`det_int` in `quadlie.kernels`. Rational input is cleared of denominators row
-by row (row scaling changes neither the row space nor the kernel).
+All elimination runs on integers. Spans and intersections go through
+`rref_int` and determinants through `det_int`, the kernels of
+`quadlie.kernels`; every kernel of a linear system comes from
+`sparse_nullspace`. Rational input is cleared of denominators row by row
+(row scaling changes neither the row space nor the kernel).
 """
 
 from __future__ import annotations
@@ -231,37 +233,19 @@ def nullspace(m: Matrix) -> Subspace:
 
 
 def _int_nullspace(rows, ncols: int) -> Subspace:
-    """Kernel of an integer system: one `rref_int` call on the system, one on
-    its kernel vectors.
-
-    The free-column kernel vector of free column f has 1 at f and
-    -R[r][f] / R[r][p_r] at each pivot p_r; it is scaled to integers by the
-    lcm of the pivot values it divides by, then the kernel vectors are
-    reduced to their canonical span.
-    """
-    rows = _distinct_nonzero(rows)
-    reduced, pivots = kernels.rref_int(rows, ncols) if rows else ([], [])
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        hits = [(r, reduced[r][f]) for r in range(len(pivots)) if reduced[r][f]]
-        scale = lcm(1, *(reduced[r][pivots[r]] for r, _ in hits))
-        vec = [0] * ncols
-        vec[f] = scale
-        for r, x in hits:
-            vec[pivots[r]] = -x * (scale // reduced[r][pivots[r]])
-        basis.append(vec)
-    return _int_span(ncols, basis)
+    """Kernel of integer rows as a canonical subspace: the span of
+    `sparse_nullspace`'s free-column vectors."""
+    return _int_span(ncols, sparse_nullspace([dict(enumerate(r)) for r in rows], ncols)[0])
 
 
 def sparse_nullspace(rows: list[dict[int, int]], ncols: int) -> tuple[list[list[int]], int]:
-    """Kernel basis of a sparse integer system (rows are {col: coeff} maps).
+    """Kernel basis of a sparse integer system (rows are {col: coeff} maps;
+    zero coefficients are dropped).
 
-    Built for the invariance systems, which are huge but mostly one- and
-    two-term equations. Maintains mutually reduced pivot rows (sparse
-    Gauss-Jordan with content reduction). Returns (vectors, scale): the
+    Every kernel in the package comes from here. Its largest systems, the
+    invariance equations, are mostly one- and two-term equations. Maintains
+    mutually reduced pivot rows (sparse Gauss-Jordan with content
+    reduction). Returns (vectors, scale): the
     canonical free-column nullspace basis, one vector per free column in
     column order, each times `scale`, the common denominator of all their
     entries, so that the vectors are integers.

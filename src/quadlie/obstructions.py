@@ -134,11 +134,11 @@ def theta_ideal(g: LieAlgebra, d: Decomposition) -> Subspace:
     return acc
 
 
-def coordinate_complement(g: LieAlgebra) -> tuple[Subspace, list[int]]:
-    """Basis-aligned complement of C^1(g): the non-pivot coordinates."""
+def coordinate_complement(g: LieAlgebra) -> list[int]:
+    """The coordinates spanning the basis-aligned complement of C^1(g): the
+    non-pivot ones."""
     pivots = set(g.commutator_subspace().pivots)
-    coords = [i for i in range(g.dim) if i not in pivots]
-    return Subspace.coordinate(g.dim, coords), coords
+    return [i for i in range(g.dim) if i not in pivots]
 
 
 def default_decompositions(g: LieAlgebra, budget: int = 512):
@@ -152,7 +152,7 @@ def default_decompositions(g: LieAlgebra, budget: int = 512):
     included, lies inside Theta of the lines. So only budgets 0 (nothing)
     and >= 1 (the lines) differ.
     """
-    _, coords = coordinate_complement(g)
+    coords = coordinate_complement(g)
     if coords and budget >= 1:
         parts = tuple(Subspace.coordinate(g.dim, [c]) for c in coords)
         yield Decomposition(parts, "complement split into coordinate lines")

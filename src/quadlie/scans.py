@@ -97,6 +97,7 @@ class GraphScanRecord:
     vertices: int
     edges: int
     prediction: str
+    reason: str
     verdict: str
     certificate_kind: str
     agree: bool
@@ -123,6 +124,8 @@ def graph_case_name(graph: Graph) -> str:
 
 
 def scan_graph_case(graph: Graph, config: RunConfig, solver: str = "always") -> GraphScanRecord:
+    """Decide one graph algebra against its prediction; `quadlie graph` and
+    `scan-graphs` both run this."""
     ga = build_algebra(graph)
     prediction = classify_graph(graph)
     result = decide(
@@ -137,6 +140,7 @@ def scan_graph_case(graph: Graph, config: RunConfig, solver: str = "always") -> 
         len(graph.vertices),
         len(graph.edges),
         prediction.prediction,
+        prediction.reason,
         result.kind,
         result.certificate_kind,
         agree,
@@ -171,7 +175,9 @@ class ParabolicScanRecord:
     dim: int
     nilpotency_class: int
     grading_dims: tuple[int, ...]
+    grading_ok: bool
     prediction: str
+    reason: str
     verdict: str
     certificate_kind: str
     agree: bool
@@ -196,16 +202,17 @@ class ParabolicScanRecord:
 def scan_parabolic_case(
     type_string: str, pi0, config: RunConfig, solver: str = "always"
 ) -> ParabolicScanRecord:
+    """Decide one parabolic nilradical against its prediction; `quadlie
+    parabolic` and `scan-parabolics` both run this. A grading that does not
+    match the central series makes the record disagree."""
     pn = build_nilradical(type_string, pi0)
     grading = verify_lcs_grading(pn)
-    if not grading.ok:
-        raise RuntimeError(f"{pn.case_name()}: grading/series mismatch {grading}")
     prediction = classify_nilradical(type_string, pi0)
     theta_decs, hr_pairs = structured_decompositions(pn)
     result = decide(
         pn.algebra, config, theta_decompositions=theta_decs, hr_pairs=hr_pairs, solver=solver
     )
-    agree = result.decided and (prediction.admits == result.admits)
+    agree = grading.ok and result.decided and (prediction.admits == result.admits)
     free_match = "-"
     if prediction.prediction == "n32":
         free_match = "n32" if match_free_nilpotent(pn, 3, 2) is not None else "missing"
@@ -218,7 +225,9 @@ def scan_parabolic_case(
         pn.algebra.dim,
         pn.k,
         pn.grading_dims,
+        grading.ok,
         prediction.prediction,
+        prediction.reason,
         result.kind,
         result.certificate_kind,
         agree,

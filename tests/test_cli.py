@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from quadlie import scans
 from quadlie.cli import main
 from quadlie.config import RunConfig
 from quadlie.hall import free_nilpotent
@@ -94,6 +96,22 @@ def test_parabolic_obstructions_only(capsys):
     assert report["grading_dims"][-1] == 5
 
 
+def test_failed_grading_is_one_disagreement(capsys, monkeypatch):
+    """A grading that contradicts the central series makes the scan record
+    disagree instead of raising, and `quadlie parabolic` exit 1."""
+    real = scans.verify_lcs_grading
+    monkeypatch.setattr(
+        scans, "verify_lcs_grading", lambda pn: dataclasses.replace(real(pn), ok=False)
+    )
+    record = scans.scan_parabolic_case("B3", (3,), RunConfig())
+    assert record.agree is False and record.grading_ok is False
+    assert main(["parabolic", "B3:g3", "--output", "json"]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["agree"] is False and report["grading_consistent"] is False
+    assert captured.err == "DISAGREEMENT: grading does not match the central series\n"
+
+
 def test_series_subcommand(capsys, h3_file, tmp_path):
     code, out = run(capsys, "series", h3_file, "--output", "json")
     assert code == 0
@@ -138,6 +156,25 @@ def test_exit_code_2_on_bad_input(capsys, tmp_path):
     assert main(["parabolic", "B3"]) == 2
     assert main(["parabolic", "Z9:g1"]) == 2
     assert main(["free", "0", "2"]) == 2
+    capsys.readouterr()
+    # ill-typed JSON fields: one error line each, never a traceback
+    h3 = {"i": 1, "j": 2, "terms": [{"k": 3, "c": "1"}]}
+    algebras = [
+        {"dim": 3, "brackets": [{**h3, "i": 1.0}]},
+        {"dim": 3, "brackets": [{**h3, "terms": {"k": 3}}]},
+        {"dim": True, "brackets": []},
+        {"dim": 3, "brackets": [{**h3, "terms": [{"k": True, "c": "1"}]}]},
+    ]
+    for algebra in algebras:
+        bad.write_text(json.dumps(algebra))
+        assert main(["analyze", str(bad)]) == 2
+    good = tmp_path / "h3.json"
+    good.write_text(json.dumps({"dim": 3, "brackets": [h3]}))
+    sub = tmp_path / "v.json"
+    sub.write_text(json.dumps({"ambient_dim": True, "vectors": [["1"]]}))
+    assert main(["series", str(good), "--subspace", str(sub)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 5 and all(line.startswith("error: ") for line in err)
 
 
 @pytest.mark.parametrize("types", ["X", "E", "A,X3"])
@@ -355,6 +392,21 @@ def set_monte_carlo(field, value):
 MC_REPORT = "analyze_C4_theta_budget_0.json"
 
 
+def set_at(path, value):
+    """Replace the report entry at a path of keys and list indices."""
+
+    def tamper(report):
+        node = report
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return tamper
+
+
+BRACKET = ("algebra", "brackets", 0)
+
+
 def set_signature(value):
     def tamper(report):
         cert = report["verdict"]["certificate"]
@@ -381,6 +433,11 @@ def set_signature(value):
         (MC_REPORT, set_monte_carlo("mc_range", True)),
         ("analyze_abelian3.json", set_signature([3.0, False, 0])),
         ("analyze_abelian3.json", set_signature("300")),
+        ("analyze_h3.json", set_at(("algebra", "dim"), True)),
+        ("analyze_h3.json", set_at(BRACKET + ("i",), 1.0)),
+        ("analyze_h3.json", set_at(BRACKET + ("terms",), {"k": 3})),
+        ("analyze_h3.json", set_at(BRACKET + ("terms", 0, "k"), True)),
+        ("graph_C4.json", set_at(("verdict", "certificate", "v1", "ambient_dim"), True)),
     ],
     ids=[
         "j=-5",
@@ -397,6 +454,11 @@ def set_signature(value):
         "mc_range=true",
         "signature=[3.0,false,0]",
         "signature='300'",
+        "algebra-dim=true",
+        "bracket-i=1.0",
+        "bracket-terms-object",
+        "bracket-k=true",
+        "v1-ambient_dim=true",
     ],
 )
 def test_verify_rejects_forged_certificate_fields_as_malformed(capsys, tmp_path, golden, tamper):

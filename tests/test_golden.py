@@ -22,6 +22,10 @@ from pathlib import Path
 import pytest
 
 from quadlie.cli import main
+from quadlie.config import RunConfig
+from quadlie.graphs import parse_graph
+from quadlie.parabolic import parse_parabolic_spec
+from quadlie.scans import scan_graph_case, scan_parabolic_case
 from quadlie.verdicts import reverify_report
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -118,6 +122,37 @@ def test_golden_verdict_reports_verify(name):
     report = json.loads((GOLDEN / f"{name}.json").read_text())
     ok, details = reverify_report(report)
     assert ok, details
+
+
+CASE_INPUTS = sorted({(argv[0], str(argv[1])) for argv in CASES.values() if argv[0] in ("graph", "parabolic")})
+
+
+@pytest.mark.parametrize("solver", ["auto", "never"])
+@pytest.mark.parametrize("command,arg", CASE_INPUTS)
+def test_cli_case_report_matches_the_scan_record(command, arg, solver):
+    """`quadlie graph` and `quadlie parabolic` report what the scan's case
+    function records. On an undecided case the record's certificate kind is
+    "none", the report's "undecided", and the report's `agree` is None."""
+    argv = [command, arg, "--output", "json"]
+    if solver == "never":
+        argv.append("--obstructions-only")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        main(argv)
+    report = json.loads(buf.getvalue())
+    if command == "graph":
+        record = scan_graph_case(parse_graph(Path(arg).read_text()), RunConfig(), solver)
+    else:
+        record = scan_parabolic_case(*parse_parabolic_spec(arg), RunConfig(), solver)
+    assert report["verdict"]["kind"] == record.verdict
+    assert report["prediction"] == record.prediction
+    assert report["reason"] == record.reason
+    if record.result.decided:
+        assert report["verdict"]["certificate"]["kind"] == record.certificate_kind
+        assert report["agree"] == record.agree
+    else:
+        assert (report["verdict"]["certificate"]["kind"], record.certificate_kind) == ("undecided", "none")
+        assert report["agree"] is None
 
 
 if __name__ == "__main__":

@@ -59,6 +59,20 @@ def test_algebra_json_validation():
         load_algebra('{"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "c": "1/0"}]}]}')
     with pytest.raises(InputError):
         load_algebra("not json")
+    # JSON true is not an index, nor 1.0; brackets and terms are lists of objects
+    h3 = {"i": 1, "j": 2, "terms": [{"k": 3, "c": "1"}]}
+    for bad in (
+        {"dim": True, "brackets": []},
+        {"dim": 3, "brackets": [{**h3, "i": 1.0}]},
+        {"dim": 3, "brackets": [{**h3, "j": True}]},
+        {"dim": 3, "brackets": [{**h3, "terms": {"k": 3}}]},
+        {"dim": 3, "brackets": [{**h3, "terms": [{"k": True, "c": "1"}]}]},
+        {"dim": 3, "brackets": {"i": 1}},
+        {"dim": 3, "brackets": [[1, 2]]},
+        {"dim": 3, "labels": 3},
+    ):
+        with pytest.raises(InputError):
+            algebra_from_json(bad)
     # Jacobi failure surfaces as input error text
     with pytest.raises(InputError):
         algebra_from_json(
@@ -78,3 +92,10 @@ def test_subspace_round_trip():
     assert subspace_from_json(obj) == s
     with pytest.raises(InputError):
         subspace_from_json({"vectors": []})
+    for bad in (
+        {"ambient_dim": True, "vectors": [["1"]]},
+        {"ambient_dim": 3, "vectors": ["101"]},
+        {"ambient_dim": 3, "vectors": {"a": ["1", "0", "1"]}},
+    ):
+        with pytest.raises(InputError):
+            subspace_from_json(bad)

@@ -15,6 +15,7 @@ from quadlie.linalg import (
     span_sum,
     sparse_nullspace,
 )
+from test_integer_paths import ref_free_column_basis, ref_nullspace
 
 Q = Fraction
 
@@ -188,15 +189,13 @@ def test_sparse_nullspace_matches_dense():
         {0: 1, 2: -1},  # duplicate, must be ignored
         {4: 3},
     ]
-    dense = mat(
-        [
-            [1, 0, -1, 0, 0],
-            [0, 2, 0, 2, 0],
-            [0, 0, 0, 0, 3],
-        ]
-    )
+    dense = [
+        [1, 0, -1, 0, 0],
+        [0, 2, 0, 2, 0],
+        [0, 0, 0, 0, 3],
+    ]
     got = Subspace.spanned_by(5, sparse_nullspace(rows, 5)[0])
-    assert got == nullspace(dense)
+    assert got == ref_nullspace(dense, 5)
 
 
 @settings(max_examples=40, deadline=None)
@@ -208,9 +207,11 @@ def test_sparse_nullspace_matches_dense():
     )
 )
 def test_sparse_nullspace_agrees_with_dense_random(rows):
+    """Against Fraction Gauss-Jordan: the same free-column vectors, each
+    times the returned scale, and so the same kernel."""
     sparse = [
         {j: v for j, v in enumerate(row) if v} for row in rows
     ]
-    got = Subspace.spanned_by(5, sparse_nullspace(sparse, 5)[0])
-    want = nullspace(mat(rows, 5))
-    assert got == want
+    vecs, scale = sparse_nullspace(sparse, 5)
+    assert vecs == [[scale * x for x in v] for v in ref_free_column_basis(rows, 5)]
+    assert Subspace.spanned_by(5, vecs) == ref_nullspace(rows, 5)

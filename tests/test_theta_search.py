@@ -47,7 +47,7 @@ def bipartitions(coords):
 
 def reference_decompositions(g, budget):
     """The old enumeration: whole, lines, then bipartitions, without repeats."""
-    _, coords = coordinate_complement(g)
+    coords = coordinate_complement(g)
     if not coords:
         return
     candidates = [([coords], "complement as a single part")]
@@ -124,7 +124,7 @@ SOLVABLE = {
 
 
 def assert_groupings_inside_lines(g):
-    _, coords = coordinate_complement(g)
+    coords = coordinate_complement(g)
     if not coords:
         return
     lines = theta_ideal(g, coordinate_decomposition(g, [[c] for c in coords], "lines"))
@@ -144,7 +144,7 @@ def test_inclusion_holds_on_solvable_non_nilpotent_algebras():
     for name, g in SOLVABLE.items():
         assert nilpotency_class(g) is None, name
         assert_groupings_inside_lines(g)
-        _, coords = coordinate_complement(g)
+        coords = coordinate_complement(g)
         whole = theta_ideal(g, coordinate_decomposition(g, [coords], "whole"))
         hits[name] = (not whole.is_zero(), theta_search(g) is not None)
     # the whole complement hits on none of them; the lines refute aff(1) + h3
@@ -171,6 +171,6 @@ def test_only_budgets_zero_and_positive_differ():
 def test_reference_enumerates_every_bipartition():
     # guards the reference itself: 2^(m-1) - 1 bipartitions after whole and lines
     g = LieAlgebra(5, {(0, 1): {4: 1}, (2, 3): {4: 1}})
-    assert len(coordinate_complement(g)[1]) == 4
+    assert len(coordinate_complement(g)) == 4
     assert len(list(reference_decompositions(g, 512))) == 2 + 7
     assert len(list(reference_decompositions(g, 3))) == 3
