@@ -213,13 +213,13 @@ def centralizer(g: LieAlgebra, v: Subspace) -> Subspace:
     rows = []
     for w in v.ints:
         # condition [X, w] = 0: row r sends X to coordinate r of D [X, w]
-        block = [[0] * g.dim for _ in range(g.dim)]
+        block: list[dict[int, int]] = [{} for _ in range(g.dim)]
         for i, entries in enumerate(g._int_ad):
             for j, k, c in entries:
                 b = w[j]
                 if b:
-                    block[k][i] += b * c
-        rows.extend(row for row in block if any(row))
+                    block[k][i] = block[k].get(i, 0) + b * c
+        rows.extend(row for row in block if row)
     return _int_nullspace(rows, g.dim)
 
 
@@ -237,12 +237,12 @@ def _ascending_step(g: LieAlgebra, prev: Subspace) -> Subspace:
         # one row per e_i and annihilator row: up to sign, coordinate k of
         # D [X, e_i] is the sum of c x_m over the entries (m, k, c) of e_i
         for rrow in annihilator:
-            row = [0] * g.dim
+            row: dict[int, int] = {}
             for m, k, c in entries:
                 r = rrow[k]
                 if r:
-                    row[m] += r * c
-            if any(row):
+                    row[m] = row.get(m, 0) + r * c
+            if row:
                 rows.append(row)
     return _int_nullspace(rows, g.dim)
 

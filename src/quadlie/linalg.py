@@ -229,13 +229,13 @@ def _check_ambient(a: Subspace, b: Subspace) -> None:
 
 def nullspace(m: Matrix) -> Subspace:
     """Kernel {x : m x = 0} as a canonical subspace."""
-    return _int_nullspace(_int_rows(m.rows), m.ncols)
+    return _int_nullspace([dict(enumerate(r)) for r in _int_rows(m.rows)], m.ncols)
 
 
-def _int_nullspace(rows, ncols: int) -> Subspace:
-    """Kernel of integer rows as a canonical subspace: the span of
+def _int_nullspace(rows: list[dict[int, int]], ncols: int) -> Subspace:
+    """Kernel of sparse integer rows as a canonical subspace: the span of
     `sparse_nullspace`'s free-column vectors."""
-    return _int_span(ncols, sparse_nullspace([dict(enumerate(r)) for r in rows], ncols)[0])
+    return _int_span(ncols, sparse_nullspace(rows, ncols)[0])
 
 
 def sparse_nullspace(rows: list[dict[int, int]], ncols: int) -> tuple[list[list[int]], int]:
