@@ -15,12 +15,12 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .config import INT_FIELDS, RunConfig, flag_name
-from .graphs import GraphError, parse_graph
+from .graphs import parse_graph
 from .hall import free_nilpotent
 from .jsonio import InputError, load_algebra, subspace_from_json, subspace_to_json
-from .liealg import JacobiError, relative_series
+from .liealg import relative_series
 from .parabolic import parse_parabolic_spec
-from .scans import scan_graph_case, scan_graphs, scan_parabolic_case, scan_parabolics
+from .scans import UNDECIDED, scan_graph_case, scan_graphs, scan_parabolic_case, scan_parabolics
 from .verdicts import build_report, decide, reverify_report
 
 
@@ -33,11 +33,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig.from_environment()
-    updates = {}
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            updates[f.name] = value
+    values = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    updates = {name: v for name, v in values.items() if v is not None}
     return replace(cfg, **updates) if updates else cfg
 
 
@@ -107,10 +104,8 @@ def _emit(report: dict, config: RunConfig) -> None:
     for key in ("grading_dims", "prediction", "reason", "agree"):
         if key in report:
             print(f"{key}: {report[key]}")
-    verdict = report["verdict"]
-    print(f"verdict: {verdict['kind']}")
-    cert = verdict["certificate"]
-    print(f"certificate: {json.dumps(cert, sort_keys=True)}")
+    print(f"verdict: {report['verdict']['kind']}")
+    print(f"certificate: {json.dumps(report['verdict']['certificate'], sort_keys=True)}")
     if "timings" in report:
         print(f"timings: {report['timings']}")
 
@@ -118,20 +113,29 @@ def _emit(report: dict, config: RunConfig) -> None:
 def _timed(config: RunConfig, fn):
     start = time.perf_counter()
     out = fn()
-    elapsed = time.perf_counter() - start
-    timings = {"total_seconds": round(elapsed, 3)} if config.timings else None
-    return out, timings
+    seconds = round(time.perf_counter() - start, 3)
+    return out, ({"total_seconds": seconds} if config.timings else None)
 
 
-def _finish(config, result, descriptor, timings, extra=None, agree=None, why=None) -> int:
-    """Emit the verdict report; exit 1 when `agree` is False."""
+def _finish(config, result, descriptor, timings, extra=None, why=None) -> int:
+    """Emit the verdict report; exit 1 with one DISAGREEMENT line when `why`
+    is given."""
     report = build_report(result, config, descriptor, extra=extra, timings=timings)
     _emit(report, config)
-    if agree is False:
-        why = why or "computed verdict contradicts the classification"
+    if why:
         print(f"DISAGREEMENT: {why}", file=sys.stderr)
         return 1
     return 0
+
+
+def _finish_case(config, record, descriptor, timings, extra) -> int:
+    """Report a graph or parabolic scan record. `agree` is None when the case
+    is undecided, but a failed construction check disagrees whatever the
+    verdict."""
+    why = None if record.disagreement == UNDECIDED else record.disagreement
+    agree = None if record.disagreement == UNDECIDED else why is None
+    extra |= {"prediction": record.prediction, "reason": record.reason, "agree": agree}
+    return _finish(config, record.result, descriptor, timings, extra, why)
 
 
 def _solver(args) -> str:
@@ -142,27 +146,18 @@ def _cmd_analyze(args) -> int:
     config = _config_from_args(args)
     g = load_algebra(Path(args.path).read_text())
     result, timings = _timed(config, lambda: decide(g, config, solver=_solver(args)))
-    return _finish(
-        config, result, {"kind": "structure-constants", "path": str(args.path)}, timings
-    )
+    descriptor = {"kind": "structure-constants", "path": str(args.path)}
+    return _finish(config, result, descriptor, timings)
 
 
 def _cmd_graph(args) -> int:
     config = _config_from_args(args)
     graph = parse_graph(Path(args.path).read_text())
     record, timings = _timed(config, lambda: scan_graph_case(graph, config, _solver(args)))
-    agree = record.agree if record.result.decided else None
-    extra = {
-        "graph": {
-            "vertices": list(graph.vertices),
-            "edges": [[graph.vertices[i], graph.vertices[j]] for i, j in graph.edges],
-        },
-        "prediction": record.prediction,
-        "reason": record.reason,
-        "agree": agree,
-    }
-    descriptor = {"kind": "graph", "path": str(args.path)}
-    return _finish(config, record.result, descriptor, timings, extra, agree)
+    vertices = list(graph.vertices)
+    edges = [[graph.vertices[i], graph.vertices[j]] for i, j in graph.edges]
+    extra = {"graph": {"vertices": vertices, "edges": edges}}
+    return _finish_case(config, record, {"kind": "graph", "path": str(args.path)}, timings, extra)
 
 
 def _cmd_free(args) -> int:
@@ -181,20 +176,8 @@ def _cmd_parabolic(args) -> int:
     record, timings = _timed(
         config, lambda: scan_parabolic_case(type_string, pi0, config, _solver(args))
     )
-    agree = record.agree if record.result.decided else None
-    why = None
-    if not record.grading_ok:
-        # a disagreement even when the case is undecided
-        agree, why = False, "grading does not match the central series"
-    extra = {
-        "grading_dims": list(record.grading_dims),
-        "grading_consistent": record.grading_ok,
-        "prediction": record.prediction,
-        "reason": record.reason,
-        "agree": agree,
-    }
-    descriptor = {"kind": "parabolic", "case": record.name}
-    return _finish(config, record.result, descriptor, timings, extra, agree, why)
+    extra = {"grading_dims": list(record.grading_dims), "grading_consistent": record.grading_ok}
+    return _finish_case(config, record, {"kind": "parabolic", "case": record.name}, timings, extra)
 
 
 def _cmd_series(args) -> int:
@@ -229,25 +212,26 @@ def _cmd_series(args) -> int:
     return 0
 
 
-def _render_scan(rows: list[dict], config: RunConfig, agree: bool, kind: str) -> None:
+def _finish_scan(records, config: RunConfig, kind: str) -> int:
+    """Emit the scan table; exit 1 with one DISAGREEMENT line per
+    disagreeing case."""
+    rows = [r.row() for r in records]
+    agree = all(r.agree for r in records)
     if config.output == "json":
-        print(
-            json.dumps(
-                {"kind": kind, "config": config.echo(), "all_agree": agree, "cases": rows},
-                indent=2,
-                sort_keys=True,
-            )
-        )
-        return
-    if rows:
-        headers = list(rows[0].keys())
-        widths = {
-            h: max(len(h), *(len(str(r[h])) for r in rows)) for h in headers
-        }
-        print("  ".join(h.ljust(widths[h]) for h in headers))
-        for r in rows:
-            print("  ".join(str(r[h]).ljust(widths[h]) for h in headers))
-    print(f"cases: {len(rows)}; all agree: {agree}")
+        payload = {"kind": kind, "config": config.echo(), "all_agree": agree, "cases": rows}
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        if rows:
+            headers = list(rows[0].keys())
+            widths = {h: max(len(h), *(len(str(r[h])) for r in rows)) for h in headers}
+            print("  ".join(h.ljust(widths[h]) for h in headers))
+            for r in rows:
+                print("  ".join(str(r[h]).ljust(widths[h]) for h in headers))
+        print(f"cases: {len(rows)}; all agree: {agree}")
+    for r in records:
+        if not r.agree:
+            print(f"DISAGREEMENT: {r.name}: {r.disagreement}", file=sys.stderr)
+    return 0 if agree else 1
 
 
 def _cmd_scan_graphs(args) -> int:
@@ -255,18 +239,14 @@ def _cmd_scan_graphs(args) -> int:
     records = scan_graphs(
         args.max_vertices, args.union_vertices, args.union_samples, config
     )
-    agree = all(r.agree for r in records)
-    _render_scan([r.row() for r in records], config, agree, "scan-graphs")
-    return 0 if agree else 1
+    return _finish_scan(records, config, "scan-graphs")
 
 
 def _cmd_scan_parabolics(args) -> int:
     config = _config_from_args(args)
     types = [t for t in args.types.split(",") if t.strip()]
     records = scan_parabolics(types, args.max_rank, args.pair_rank, config)
-    agree = all(r.agree for r in records)
-    _render_scan([r.row() for r in records], config, agree, "scan-parabolics")
-    return 0 if agree else 1
+    return _finish_scan(records, config, "scan-parabolics")
 
 
 def _cmd_verify(args) -> int:
@@ -297,13 +277,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return HANDLERS[args.command](args)
-    except (InputError, GraphError, JacobiError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    # InputError, GraphError and JacobiError are ValueErrors
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

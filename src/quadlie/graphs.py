@@ -175,9 +175,6 @@ class GraphAlgebra:
         """Span of the basis vectors of the given vertex indices."""
         return Subspace.coordinate(self.algebra.dim, [self.vertex_basis[v] for v in vertices])
 
-    def vertex_vector(self, v: int):
-        return self.vertex_space([v]).rows[0]
-
 
 def build_algebra(graph: Graph) -> GraphAlgebra:
     """n_G on basis V + E; checks dim |V|+|E|, center V0+E and C^1 = E."""

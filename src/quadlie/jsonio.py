@@ -133,10 +133,8 @@ def subspace_from_json(obj) -> Subspace:
     ambient = obj["ambient_dim"]
     if type(ambient) is not int or ambient < 0:
         raise InputError(f"bad ambient dimension {ambient!r}")
-    vectors = [
-        vector_from_json(v, ambient) for v in _list_of(obj.get("vectors", []), list, "'vectors'")
-    ]
-    return Subspace.spanned_by(ambient, vectors)
+    entries = _list_of(obj.get("vectors", []), list, "'vectors'")
+    return Subspace.spanned_by(ambient, [vector_from_json(v, ambient) for v in entries])
 
 
 def matrix_to_json(m: Matrix) -> list[list[str]]:

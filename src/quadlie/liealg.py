@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .linalg import Subspace, _int_nullspace, _int_span, as_fraction_vector, sparse_nullspace
+from .linalg import Subspace, _int_nullspace, _int_span, as_fraction_vector, reduced_kernel
 
 BracketTable = dict[tuple[int, int], dict[int, Fraction]]
 
@@ -227,11 +227,13 @@ def _ascending_step(g: LieAlgebra, prev: Subspace) -> Subspace:
     """{X : [X, g] contained in prev}.
 
     prev is the common kernel of its annihilator, the rows y with y . v = 0
-    for every v in prev; these are the kernel vectors of prev's own rows.
+    for every v in prev; these are the kernel vectors of prev's own rows,
+    which are already reduced.
     """
     if prev.dim == g.dim:
         return g.full_space()
-    annihilator = sparse_nullspace([dict(enumerate(r)) for r in prev.ints], g.dim)[0]
+    pivot_rows = {p: {c: v for c, v in enumerate(r) if v} for p, r in zip(prev.pivots, prev.ints)}
+    annihilator = reduced_kernel(pivot_rows, g.dim)[0]
     rows = []
     for entries in g._int_ad:
         # one row per e_i and annihilator row: up to sign, coordinate k of

@@ -245,10 +245,7 @@ def sparse_nullspace(rows: list[dict[int, int]], ncols: int) -> tuple[list[list[
     Every kernel in the package comes from here. Its largest systems, the
     invariance equations, are mostly one- and two-term equations. Maintains
     mutually reduced pivot rows (sparse Gauss-Jordan with content
-    reduction). Returns (vectors, scale): the
-    canonical free-column nullspace basis, one vector per free column in
-    column order, each times `scale`, the common denominator of all their
-    entries, so that the vectors are integers.
+    reduction) and returns `reduced_kernel` of them.
     """
 
     def reduce_content(row: dict[int, int]) -> None:
@@ -311,7 +308,18 @@ def sparse_nullspace(rows: list[dict[int, int]], ncols: int) -> tuple[list[list[
                     del orow[cc]
                 reduce_content(orow)
         pivot_rows[piv] = row
+    return reduced_kernel(pivot_rows, ncols)
 
+
+def reduced_kernel(
+    pivot_rows: dict[int, dict[int, int]], ncols: int
+) -> tuple[list[list[int]], int]:
+    """Kernel of mutually reduced sparse integer rows ({pivot: row}, each row
+    zero at every other pivot). Returns (vectors, scale): the canonical
+    free-column basis, one vector per free column in column order, each times
+    `scale`, the common denominator of all their entries, so that the vectors
+    are integers.
+    """
     scale = 1
     for p, prow in pivot_rows.items():
         scale = lcm(scale, *(prow[p] // gcd(prow[p], v) for v in prow.values()))

@@ -91,6 +91,10 @@ def _graph_registered_splits(ga: GraphAlgebra):
     return [(ga.vertex_space(a), ga.vertex_space(b))]
 
 
+CONTRADICTION = "computed verdict contradicts the classification"
+UNDECIDED = "the ladder left the case undecided"
+
+
 @dataclass(frozen=True)
 class GraphScanRecord:
     name: str
@@ -114,6 +118,11 @@ class GraphScanRecord:
             "certificate": self.certificate_kind,
             "agree": self.agree,
         }
+
+    @property
+    def disagreement(self) -> str | None:
+        """Why `agree` is False; None when it is True."""
+        return None if self.agree else CONTRADICTION if self.result.decided else UNDECIDED
 
 
 def graph_case_name(graph: Graph) -> str:
@@ -198,6 +207,18 @@ class ParabolicScanRecord:
             "agree": self.agree,
         }
 
+    @property
+    def disagreement(self) -> str | None:
+        """Why `agree` is False; None when it is True. A failed construction
+        check (the grading, the free-algebra match) comes first."""
+        if self.agree:
+            return None
+        if not self.grading_ok:
+            return "grading does not match the central series"
+        if self.free_match == "missing":
+            return "free-algebra match missing"
+        return CONTRADICTION if self.result.decided else UNDECIDED
+
 
 def scan_parabolic_case(
     type_string: str, pi0, config: RunConfig, solver: str = "always"
@@ -214,12 +235,11 @@ def scan_parabolic_case(
     )
     agree = grading.ok and result.decided and (prediction.admits == result.admits)
     free_match = "-"
-    if prediction.prediction == "n32":
-        free_match = "n32" if match_free_nilpotent(pn, 3, 2) is not None else "missing"
-        agree = agree and free_match == "n32"
-    elif prediction.prediction == "n23":
-        free_match = "n23" if match_free_nilpotent(pn, 2, 3) is not None else "missing"
-        agree = agree and free_match == "n23"
+    shape = {"n32": (3, 2), "n23": (2, 3)}.get(prediction.prediction)
+    if shape:
+        found = match_free_nilpotent(pn, *shape) is not None
+        free_match = prediction.prediction if found else "missing"
+        agree = agree and found
     return ParabolicScanRecord(
         pn.case_name(),
         pn.algebra.dim,
@@ -270,9 +290,7 @@ def scan_parabolics(
     config: RunConfig | None = None,
 ) -> list[ParabolicScanRecord]:
     config = config or RunConfig()
-    records = []
-    for type_string, pi0 in parabolic_cases(types, max_rank, pair_rank):
-        record = scan_parabolic_case(type_string, pi0, config)
-        records.append(record)
+    cases = parabolic_cases(types, max_rank, pair_rank)
+    records = [scan_parabolic_case(type_string, pi0, config) for type_string, pi0 in cases]
     records.sort(key=lambda r: r.name)
     return records

@@ -110,6 +110,23 @@ def test_failed_grading_is_one_disagreement(capsys, monkeypatch):
     report = json.loads(captured.out)
     assert report["agree"] is False and report["grading_consistent"] is False
     assert captured.err == "DISAGREEMENT: grading does not match the central series\n"
+    # the scan names each disagreeing case and why
+    assert main(["scan-parabolics", "--types", "B", "--max-rank", "2", "--pair-rank", "0"]) == 1
+    why = "grading does not match the central series"
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"DISAGREEMENT: B2:g1: {why}", f"DISAGREEMENT: B2:g2: {why}"]
+
+
+def test_missing_free_match_is_one_disagreement(capsys, monkeypatch):
+    """An n32 prediction whose free-algebra match fails disagrees, with its
+    own reason, even though the verdict agrees with the prediction."""
+    monkeypatch.setattr(scans, "match_free_nilpotent", lambda pn, p, k: None)
+    record = scans.scan_parabolic_case("B3", (3,), RunConfig())
+    assert record.result.admits and record.free_match == "missing" and record.agree is False
+    assert main(["parabolic", "B3:g3", "--output", "json"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["agree"] is False
+    assert captured.err == "DISAGREEMENT: free-algebra match missing\n"
 
 
 def test_series_subcommand(capsys, h3_file, tmp_path):

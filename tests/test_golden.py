@@ -124,15 +124,25 @@ def test_golden_verdict_reports_verify(name):
     assert ok, details
 
 
-CASE_INPUTS = sorted({(argv[0], str(argv[1])) for argv in CASES.values() if argv[0] in ("graph", "parabolic")})
+CASE_INPUTS = sorted(
+    {(argv[0], str(argv[1])) for argv in CASES.values() if argv[0] in ("graph", "parabolic")}
+)
+# the golden report of each (command, input, solver) run that has one
+GOLDEN_CASE = {
+    (argv[0], str(argv[1]), "never" if "--obstructions-only" in argv else "auto"): name
+    for name, argv in CASES.items()
+    if argv[0] in ("graph", "parabolic")
+}
 
 
 @pytest.mark.parametrize("solver", ["auto", "never"])
 @pytest.mark.parametrize("command,arg", CASE_INPUTS)
 def test_cli_case_report_matches_the_scan_record(command, arg, solver):
-    """`quadlie graph` and `quadlie parabolic` report what the scan's case
-    function records. On an undecided case the record's certificate kind is
-    "none", the report's "undecided", and the report's `agree` is None."""
+    """Wiring check: `quadlie graph` and `quadlie parabolic` report what the
+    scan's case function records. Both sides run the same function, so the
+    decision itself is pinned by the golden report where the run has one.
+    On an undecided case the record's certificate kind is "none", the
+    report's "undecided", and the report's `agree` is None."""
     argv = [command, arg, "--output", "json"]
     if solver == "never":
         argv.append("--obstructions-only")
@@ -151,8 +161,16 @@ def test_cli_case_report_matches_the_scan_record(command, arg, solver):
         assert report["verdict"]["certificate"]["kind"] == record.certificate_kind
         assert report["agree"] == record.agree
     else:
-        assert (report["verdict"]["certificate"]["kind"], record.certificate_kind) == ("undecided", "none")
+        kinds = (report["verdict"]["certificate"]["kind"], record.certificate_kind)
+        assert kinds == ("undecided", "none")
         assert report["agree"] is None
+    name = GOLDEN_CASE.get((command, arg, solver))
+    if name:
+        golden = json.loads((GOLDEN / f"{name}.json").read_text())
+        assert (record.verdict, record.prediction, record.reason) == (
+            golden["verdict"]["kind"], golden["prediction"], golden["reason"]
+        )
+        assert (record.agree if record.result.decided else None) == golden["agree"]
 
 
 if __name__ == "__main__":

@@ -115,9 +115,7 @@ def test_centralizer_lemma_isolated_vertex():
     ga = build_algebra(parse_graph("vertex z\na b\n"))
     rep = centralizer_lemma_check(ga, "z")
     assert rep.ok
-    zv = centralizer(
-        ga.algebra, Subspace.spanned_by(ga.algebra.dim, [ga.vertex_vector(0)])
-    )
+    zv = centralizer(ga.algebra, ga.vertex_space([0]))
     assert zv == Subspace.full(ga.algebra.dim)
 
 
@@ -125,10 +123,10 @@ def test_centralizer_matches_lemma_formula_degree_two():
     # path v1-v2-v3, middle vertex: z(v2) = z + span(V minus N(v2))
     ga = build_algebra(path(3))
     g = ga.algebra
-    zv = centralizer(g, Subspace.spanned_by(g.dim, [ga.vertex_vector(1)]))
+    zv = centralizer(g, ga.vertex_space([1]))
     expected = Subspace.spanned_by(
         g.dim,
-        [g.basis_vector(3), g.basis_vector(4), ga.vertex_vector(1)],
+        [g.basis_vector(3), g.basis_vector(4), g.basis_vector(ga.vertex_basis[1])],
     )
     assert zv == expected
 
@@ -150,8 +148,8 @@ def test_c4_theta_via_bipartition_and_heisenberg_reiter():
     ga = build_algebra(cycle(4))
     g = ga.algebra
     even, odd = (0, 2), (1, 3)
-    v1 = Subspace.spanned_by(g.dim, [ga.vertex_vector(v) for v in even])
-    v2 = Subspace.spanned_by(g.dim, [ga.vertex_vector(v) for v in odd])
+    v1 = ga.vertex_space(even)
+    v2 = ga.vertex_space(odd)
     theta = theta_ideal(g, Decomposition((v1, v2), "bipartition classes"))
     assert not theta.is_zero()
     cert = heisenberg_reiter_obstruction(g, v1, v2)
