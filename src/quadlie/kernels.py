@@ -1,9 +1,9 @@
 """Exact integer kernels: the hot loops of the whole package.
 
-Fraction-free Gauss-Jordan elimination (`rref_int`) and Bareiss
+Sparse fraction-free Gauss-Jordan elimination (`rref_int`) and Bareiss
 determinants (`det_int`) over Python's arbitrary-precision integers.
-`quadlie.linalg` clears denominators and funnels all elimination through
-these two functions.
+`rref_int` is the one elimination: `quadlie.linalg` clears denominators
+and builds every span, intersection and kernel from its canonical rows.
 """
 
 from __future__ import annotations
@@ -16,71 +16,90 @@ from math import gcd
 BACKEND = "pure"
 
 
-def _content_reduce(row: list[int]) -> None:
+def _divide_content(row: dict[int, int]) -> None:
+    """Divide a sparse row by the gcd of its entries, in place."""
     g = 0
-    for x in row:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                return
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            return
     if g > 1:
-        for i, x in enumerate(row):
-            if x:
-                row[i] = x // g
+        for c in row:
+            row[c] //= g
 
 
-def rref_int(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Reduce integer rows to the canonical integer form of their RREF.
+def rref_int(rows: list[dict[int, int]], ncols: int) -> dict[int, dict[int, int]]:
+    """Canonical reduced row echelon form of sparse integer rows.
 
-    Returns (rows, pivots). Row r (r < len(pivots)) is the primitive integer
-    representative of the r-th RREF row with positive pivot entry; dividing it
-    by its pivot value gives the rational RREF row. Remaining rows are zero.
-    Input rows are not modified.
+    Rows are {column: coefficient} maps over columns 0..ncols-1; zero rows,
+    zero coefficients and repeated rows are allowed, and the input is not
+    modified. Returns {pivot: row}: each row is the primitive integer
+    representative of an RREF row, with a positive entry at its pivot (its
+    first column) and no entry at any other pivot. Those rows are unique
+    for the row space; dividing a row by its pivot entry gives the rational
+    RREF row. Read them in pivot order with `sorted`.
+
+    Sparse fraction-free Gauss-Jordan: each new row is reduced against the
+    pivot rows so far, then cleared from them. The largest systems, the
+    invariance equations, are mostly one- and two-term rows.
     """
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        best = -1
-        best_abs = 0
-        for i in range(r, nrows):
-            v = rows[i][c]
-            if v:
-                a = -v if v < 0 else v
-                if best < 0 or a < best_abs:
-                    best = i
-                    best_abs = a
-        if best < 0:
+    pivot_rows: dict[int, dict[int, int]] = {}
+    seen = set()
+    for raw in rows:
+        if len(pivot_rows) == ncols:
+            break  # full rank: every later row reduces to zero
+        row = {c: v for c, v in raw.items() if v}
+        if not row:
             continue
-        if best != r:
-            rows[r], rows[best] = rows[best], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for i in range(nrows):
-            if i == r:
-                continue
-            row = rows[i]
+        _divide_content(row)
+        lead = min(row)
+        if row[lead] < 0:
+            row = {c: -v for c, v in row.items()}
+        key = tuple(sorted(row.items()))
+        if key in seen:
+            continue
+        seen.add(key)
+
+        while row:
+            hit = [c for c in row if c in pivot_rows]
+            if not hit:
+                break
+            c = min(hit)
+            prow = pivot_rows[c]
+            p = prow[c]
             q = row[c]
-            if not q:
-                continue
             g = gcd(p, q)
-            a = p // g
-            b = q // g
-            for j in range(ncols):
-                row[j] = a * row[j] - b * prow[j]
-            _content_reduce(row)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for r, c in enumerate(pivots):
-        row = rows[r]
-        _content_reduce(row)
-        if row[c] < 0:
-            for j in range(ncols):
-                row[j] = -row[j]
-    return rows, pivots
+            a, b = p // g, q // g
+            if a != 1:
+                for cc in row:
+                    row[cc] *= a
+            for cc, vv in prow.items():
+                row[cc] = row.get(cc, 0) - b * vv
+            row = {cc: vv for cc, vv in row.items() if vv}
+            _divide_content(row)
+        if not row:
+            continue
+        piv = min(row)
+        for orow in pivot_rows.values():
+            q = orow.get(piv)
+            if q:
+                p = row[piv]
+                g = gcd(p, q)
+                a, b = p // g, q // g
+                if a != 1:
+                    for cc in orow:
+                        orow[cc] *= a
+                for cc, vv in row.items():
+                    orow[cc] = orow.get(cc, 0) - b * vv
+                for cc in [c for c, v in orow.items() if not v]:
+                    del orow[cc]
+                _divide_content(orow)
+        pivot_rows[piv] = row
+    for p, row in pivot_rows.items():
+        if row[p] < 0:
+            for c in row:
+                row[c] = -row[c]
+    return pivot_rows
 
 
 def det_int(rows: list[list[int]]) -> int:

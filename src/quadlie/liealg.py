@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .linalg import Subspace, _int_nullspace, _int_span, as_fraction_vector, reduced_kernel
+from .linalg import Subspace, _int_nullspace, _int_span, _sparse, as_fraction_vector, reduced_kernel
 
 BracketTable = dict[tuple[int, int], dict[int, Fraction]]
 
@@ -232,8 +232,7 @@ def _ascending_step(g: LieAlgebra, prev: Subspace) -> Subspace:
     """
     if prev.dim == g.dim:
         return g.full_space()
-    pivot_rows = {p: {c: v for c, v in enumerate(r) if v} for p, r in zip(prev.pivots, prev.ints)}
-    annihilator = reduced_kernel(pivot_rows, g.dim)[0]
+    annihilator = reduced_kernel(dict(zip(prev.pivots, _sparse(prev.ints))), g.dim)[0]
     rows = []
     for entries in g._int_ad:
         # one row per e_i and annihilator row: up to sign, coordinate k of

@@ -9,11 +9,13 @@ its indices: its canonical rows are the sorted unit rows.
 `Matrix` holds `fractions.Fraction` entries (Gram matrices, JSON), and
 `Subspace.rows` is a Fraction view of the basis made on demand.
 
-All elimination runs on integers. Spans and intersections go through
-`rref_int` and determinants through `det_int`, the kernels of
-`quadlie.kernels`; every kernel of a linear system comes from
-`sparse_nullspace`. Rational input is cleared of denominators row by row
-(row scaling changes neither the row space nor the kernel).
+All elimination runs on integers, in the kernels of `quadlie.kernels`:
+determinants go through `det_int`, and everything else through the one
+Gauss-Jordan elimination, `rref_int`. Spans and intersections read its
+canonical rows back in pivot order, and every kernel of a linear system is
+`reduced_kernel` of them (`sparse_nullspace`). Rational input is cleared of
+denominators row by row (row scaling changes neither the row space nor the
+kernel).
 """
 
 from __future__ import annotations
@@ -100,14 +102,9 @@ class Matrix:
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Unique reduced row echelon form of m (same shape) and its rank."""
-    int_rows, pivots = kernels.rref_int(_int_rows(m.rows), m.ncols)
-    out = []
-    for r, c in enumerate(pivots):
-        p = int_rows[r][c]
-        out.append(tuple(Fraction(x, p) for x in int_rows[r]))
+    s = _int_span(m.ncols, _int_rows(m.rows))
     zero = (Fraction(0),) * m.ncols
-    out.extend([zero] * (m.nrows - len(pivots)))
-    return Matrix(tuple(out), m.ncols), len(pivots)
+    return Matrix(s.rows + (zero,) * (m.nrows - s.dim), m.ncols), s.dim
 
 
 def det(m: Matrix) -> Fraction:
@@ -183,17 +180,24 @@ def _in_span(s: Subspace, w) -> bool:
     return not any(w)
 
 
-def _distinct_nonzero(rows) -> list[tuple[int, ...]]:
-    return list(dict.fromkeys(tuple(r) for r in rows if any(r)))
+def _sparse(rows) -> list[dict[int, int]]:
+    """Dense integer rows as {column: coefficient} maps."""
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
+
+
+def _read_back(ambient: int, pivot_rows: dict[int, dict[int, int]], offset: int = 0) -> Subspace:
+    """The subspace whose canonical rows are `rref_int`'s rows pivoting at
+    or right of `offset`, read in pivot order over columns
+    offset..offset+ambient-1."""
+    pivots = sorted(p for p in pivot_rows if p >= offset)
+    cols = range(offset, offset + ambient)
+    ints = tuple(tuple(pivot_rows[p].get(c, 0) for c in cols) for p in pivots)
+    return Subspace(ambient, ints, tuple(p - offset for p in pivots))
 
 
 def _int_span(ambient: int, rows) -> Subspace:
-    """Canonical span of integer vectors: one `rref_int` call on the nonzero ones."""
-    rows = _distinct_nonzero(rows)
-    if not rows:
-        return Subspace.zero(ambient)
-    reduced, pivots = kernels.rref_int(rows, ambient)
-    return Subspace(ambient, tuple(map(tuple, reduced[: len(pivots)])), tuple(pivots))
+    """Canonical span of integer vectors: `rref_int`'s rows in pivot order."""
+    return _read_back(ambient, kernels.rref_int(_sparse(rows), ambient))
 
 
 def span_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -207,13 +211,11 @@ def span_intersect(a: Subspace, b: Subspace) -> Subspace:
     n = a.ambient
     if a.is_zero() or b.is_zero():
         return Subspace.zero(n)
-    zero = (0,) * n
-    stacked = [row + row for row in a.ints] + [row + zero for row in b.ints]
-    reduced, pivots = kernels.rref_int(stacked, 2 * n)
+    stacked = [{**row, **{c + n: v for c, v in row.items()}} for row in _sparse(a.ints)]
+    stacked += _sparse(b.ints)
     # the rows pivoting right of column n have a zero left half; their right
     # halves are already the canonical rows of the intersection
-    right = [r for r, c in enumerate(pivots) if c >= n]
-    return Subspace(n, tuple(tuple(reduced[r][n:]) for r in right), tuple(pivots[r] - n for r in right))
+    return _read_back(n, kernels.rref_int(stacked, 2 * n), offset=n)
 
 
 def contains(a: Subspace, b: Subspace) -> bool:
@@ -229,7 +231,7 @@ def _check_ambient(a: Subspace, b: Subspace) -> None:
 
 def nullspace(m: Matrix) -> Subspace:
     """Kernel {x : m x = 0} as a canonical subspace."""
-    return _int_nullspace([dict(enumerate(r)) for r in _int_rows(m.rows)], m.ncols)
+    return _int_nullspace(_sparse(_int_rows(m.rows)), m.ncols)
 
 
 def _int_nullspace(rows: list[dict[int, int]], ncols: int) -> Subspace:
@@ -239,76 +241,10 @@ def _int_nullspace(rows: list[dict[int, int]], ncols: int) -> Subspace:
 
 
 def sparse_nullspace(rows: list[dict[int, int]], ncols: int) -> tuple[list[list[int]], int]:
-    """Kernel basis of a sparse integer system (rows are {col: coeff} maps;
-    zero coefficients are dropped).
-
-    Every kernel in the package comes from here. Its largest systems, the
-    invariance equations, are mostly one- and two-term equations. Maintains
-    mutually reduced pivot rows (sparse Gauss-Jordan with content
-    reduction) and returns `reduced_kernel` of them.
-    """
-
-    def reduce_content(row: dict[int, int]) -> None:
-        g = 0
-        for v in row.values():
-            g = gcd(g, v)
-            if g == 1:
-                return
-        if g > 1:
-            for c in row:
-                row[c] //= g
-
-    pivot_rows: dict[int, dict[int, int]] = {}
-    seen = set()
-    for raw in rows:
-        row = {c: v for c, v in raw.items() if v}
-        if not row:
-            continue
-        reduce_content(row)
-        lead = min(row)
-        if row[lead] < 0:
-            row = {c: -v for c, v in row.items()}
-        key = tuple(sorted(row.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-
-        while row:
-            hit = [c for c in row if c in pivot_rows]
-            if not hit:
-                break
-            c = min(hit)
-            prow = pivot_rows[c]
-            p = prow[c]
-            q = row[c]
-            g = gcd(p, q)
-            a, b = p // g, q // g
-            if a != 1:
-                for cc in row:
-                    row[cc] *= a
-            for cc, vv in prow.items():
-                row[cc] = row.get(cc, 0) - b * vv
-            row = {cc: vv for cc, vv in row.items() if vv}
-            reduce_content(row)
-        if not row:
-            continue
-        piv = min(row)
-        for opiv, orow in list(pivot_rows.items()):
-            q = orow.get(piv)
-            if q:
-                p = row[piv]
-                g = gcd(p, q)
-                a, b = p // g, q // g
-                if a != 1:
-                    for cc in orow:
-                        orow[cc] *= a
-                for cc, vv in row.items():
-                    orow[cc] = orow.get(cc, 0) - b * vv
-                for cc in [c for c, v in orow.items() if not v]:
-                    del orow[cc]
-                reduce_content(orow)
-        pivot_rows[piv] = row
-    return reduced_kernel(pivot_rows, ncols)
+    """Kernel basis of a sparse integer system (rows are {col: coeff} maps):
+    `reduced_kernel` of its `rref_int` rows. Every kernel in the package
+    comes from here."""
+    return reduced_kernel(kernels.rref_int(rows, ncols), ncols)
 
 
 def reduced_kernel(

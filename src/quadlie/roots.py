@@ -322,21 +322,6 @@ def build(type_string: str) -> RootSystem:
     return RootSystem(CartanType.parse(type_string))
 
 
-def positive_part_algebra(rs: RootSystem):
-    """The nilpotent algebra spanned by all positive root vectors."""
-    from .liealg import LieAlgebra
-
-    brackets = {}
-    for i, a in enumerate(rs.positive):
-        for j in range(i + 1, len(rs.positive)):
-            b = rs.positive[j]
-            c = _add(a, b)
-            if c in rs._positive_set:
-                brackets[(i, j)] = {rs.index[c]: rs._chevalley[(a, b)]}
-    labels = ["x" + "".join(str(c) for c in r) for r in rs.positive]
-    return LieAlgebra(len(rs.positive), brackets, labels)
-
-
 # ------------------------------------------------------------- lemma check
 
 

@@ -72,12 +72,12 @@ class AnalysisResult:
 
     @property
     def certificate_kind(self) -> str:
-        """The obstruction's kind, else the solver's, else "none"."""
+        """The obstruction's kind, else the solver's, else "undecided"."""
         if self.obstruction is not None:
             return self.obstruction.kind
         if self.solver is not None:
             return self.solver.kind
-        return "none"
+        return "undecided"
 
     @property
     def admits(self) -> bool:

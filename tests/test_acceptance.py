@@ -21,7 +21,7 @@ from quadlie.hall import free_nilpotent
 from quadlie.liealg import LieAlgebra, relative_series, validate
 from quadlie.linalg import Subspace
 from quadlie.parabolic import build_nilradical, decompose_root
-from quadlie.roots import build, matrix_constants_agree, positive_part_algebra
+from quadlie.roots import build, matrix_constants_agree
 from quadlie.scans import scan_graphs, scan_parabolics
 from quadlie.verdicts import build_report, decide, reverify_report
 
@@ -287,7 +287,7 @@ def test_criterion_9_root_system_goldens(parabolic_scan):
         assert validate(r.nilradical.algebra) is None, r.name
     # plus the full positive parts of the scanned families
     for name in ("A3", "B3", "C3", "D4", "G2", "F4", "E6"):
-        positive_part_algebra(build(name))
+        build_nilradical(name, range(1, build(name).rank + 1))
 
     # classical-type matrix realization cross-check
     classical = ["A3", "A4", "B3", "B4", "B5", "C3", "C4", "C5", "D4", "D5"]

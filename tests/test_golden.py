@@ -141,8 +141,7 @@ def test_cli_case_report_matches_the_scan_record(command, arg, solver):
     """Wiring check: `quadlie graph` and `quadlie parabolic` report what the
     scan's case function records. Both sides run the same function, so the
     decision itself is pinned by the golden report where the run has one.
-    On an undecided case the record's certificate kind is "none", the
-    report's "undecided", and the report's `agree` is None."""
+    On an undecided case the report's `agree` is None."""
     argv = [command, arg, "--output", "json"]
     if solver == "never":
         argv.append("--obstructions-only")
@@ -157,13 +156,8 @@ def test_cli_case_report_matches_the_scan_record(command, arg, solver):
     assert report["verdict"]["kind"] == record.verdict
     assert report["prediction"] == record.prediction
     assert report["reason"] == record.reason
-    if record.result.decided:
-        assert report["verdict"]["certificate"]["kind"] == record.certificate_kind
-        assert report["agree"] == record.agree
-    else:
-        kinds = (report["verdict"]["certificate"]["kind"], record.certificate_kind)
-        assert kinds == ("undecided", "none")
-        assert report["agree"] is None
+    assert report["verdict"]["certificate"]["kind"] == record.certificate_kind
+    assert report["agree"] == (record.agree if record.result.decided else None)
     name = GOLDEN_CASE.get((command, arg, solver))
     if name:
         golden = json.loads((GOLDEN / f"{name}.json").read_text())

@@ -208,12 +208,19 @@ def rescaled_algebras(draw):
 
 @st.composite
 def changed_basis_algebras(draw):
-    """An algebra in the basis f_i = sum_a P[a][i] e_a, P = U L unitriangular,
-    so that its central series terms are not coordinate subspaces."""
+    """An algebra in a unitriangular change of basis (`change_basis`), so
+    that its central series terms are not coordinate subspaces."""
     g = draw(st.one_of(two_step_algebras(), rescaled_algebras()))
     n = g.dim
     upper = [[Q(int(a == b)) if a >= b else draw(fractions) for b in range(n)] for a in range(n)]
     lower = [[Q(int(a == b)) if a <= b else draw(fractions) for b in range(n)] for a in range(n)]
+    return change_basis(g, upper, lower)
+
+
+def change_basis(g, upper, lower):
+    """g in the basis f_i = sum_a P[a][i] e_a, P = upper * lower, for upper
+    and lower unitriangular matrices."""
+    n = g.dim
     p = [[sum(upper[a][k] * lower[k][b] for k in range(n)) for b in range(n)] for a in range(n)]
     augmented, _ = ref_rref([p[a] + unit(n, a) for a in range(n)], 2 * n)
     inverse = [row[n:] for row in augmented]

@@ -3,6 +3,7 @@ import random
 
 import pytest
 from test_admits_corpus import CASES as ADMITS_CORPUS
+from test_integer_paths import change_basis
 
 from quadlie.config import RunConfig
 from quadlie.graphs import Graph, build_algebra, cycle, disjoint_union, triangle
@@ -200,3 +201,49 @@ def test_permuted_basis_keeps_verdict_certificate_and_series(name, g):
     order = list(range(g.dim))
     random.Random(f"permute:{name}").shuffle(order)
     assert ladder_invariants(permute_basis(g, order)) == ladder_invariants(g)
+
+
+# ------------------------------------------- unimodular changes of basis
+
+
+def unimodular_change(g, seed):
+    """g in a seeded integer unitriangular basis (`change_basis`): det P = 1,
+    so P^-1 is integral too."""
+    rng = random.Random(seed)
+    n = g.dim
+    upper = [[int(a == b) if a >= b else rng.randint(-2, 2) for b in range(n)] for a in range(n)]
+    lower = [[int(a == b) if a <= b else rng.randint(-2, 2) for b in range(n)] for a in range(n)]
+    return change_basis(g, upper, lower)
+
+
+CHANGED_BASIS_CASES = [
+    c for c in PERMUTED_CASES if c[0] in ("C4", "paw", "B3:g2", "C3:g1", "G2:g2", "T*h3", "T*n(2,3)")
+]
+
+
+@pytest.mark.parametrize(
+    "name, g", CHANGED_BASIS_CASES, ids=[c[0] for c in CHANGED_BASIS_CASES]
+)
+def test_unimodular_change_of_basis_keeps_verdict_and_series(name, g):
+    """A unimodular change of basis keeps the verdict, the nilpotency class
+    and both series' dimensions, and the new report re-verifies.
+
+    Unlike a permutation, it moves the series terms off the coordinate axes,
+    so every span, intersection and kernel on the way goes through the
+    elimination. Certificate kinds may differ: the isotropic splits and the
+    theta decompositions are searched along the basis (C4 is refuted by a
+    theta decomposition, its changed basis by Monte Carlo trials).
+    """
+    h = unimodular_change(g, f"unimodular:{name}")
+    # C^1(h) is off the coordinate axes: some canonical row has two entries
+    assert any(sum(1 for x in row if x) > 1 for row in h.commutator_subspace().ints)
+    got, want = decide(h, RunConfig()), decide(g, RunConfig())
+    ok, details = reverify_report(build_report(got, RunConfig(), {"kind": "test"}))
+    assert ok, details
+    assert got.decided and want.decided
+    assert (got.admits, got.nilpotency_class, got.lower_dims, got.upper_dims) == (
+        want.admits,
+        want.nilpotency_class,
+        want.lower_dims,
+        want.upper_dims,
+    )
